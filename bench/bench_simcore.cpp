@@ -14,21 +14,14 @@
  *   TT_BENCH_JSON     output path (default BENCH_simcore.json)
  *   TT_BASELINE_EVSEC reference events/sec to compute speedup
  *   TT_BASELINE_NOTE  how that baseline was measured
- *   TT_ACTOR_NODES    parallel-engine sweep node count (default 64)
- *   TT_ACTOR_HORIZON  parallel-engine sweep horizon (default 200000)
- *   TT_THREADS        comma list of engine worker counts for the
- *                     sweep (default "1,2,4" plus the host core
- *                     count); the serial-queue baseline always runs
  */
 
 #include <cstdio>
 #include <cstdlib>
 #include <iostream>
-#include <set>
 #include <thread>
 
 #include "bench/bench_common.hh"
-#include "config/actor_bench.hh"
 #include "config/bench_harness.hh"
 
 using namespace tt;
@@ -299,62 +292,6 @@ main()
         }
     }
 
-    // Parallel-engine scaling sweep (DESIGN.md §12): the
-    // order-insensitive actor workload through the plain serial queue
-    // and the sharded engine at increasing worker counts. The state
-    // hash is the determinism cross-check — every run must agree with
-    // the serial baseline or the whole bench fails.
-    std::printf("\nparallel-engine sweep:\n");
-    {
-        ActorBenchParams ap;
-        ap.nodes = envInt("TT_ACTOR_NODES", 64);
-        ap.horizon = envInt("TT_ACTOR_HORIZON", 200'000);
-        rep.parallelEngineNodes = ap.nodes;
-        rep.parallelEngineLookahead = ap.netLatency;
-        rep.hostCores = std::thread::hardware_concurrency();
-
-        std::set<int> counts;
-        for (const auto& s :
-             envList("TT_THREADS", {"1", "2", "4"}))
-            counts.insert(std::atoi(s.c_str()));
-        if (rep.hostCores > 0)
-            counts.insert(static_cast<int>(rep.hostCores));
-        counts.erase(0); // 0 is the implicit serial-queue baseline
-
-        auto runPoint = [&](int threads) {
-            ActorBenchParams p = ap;
-            p.threads = threads;
-            const ActorBenchResult r = runActorBench(p);
-            ParallelEngineEntry e;
-            e.threads = threads;
-            e.events = r.events;
-            e.wallMs = r.wallMs;
-            e.stateHash = r.stateHash;
-            e.parallelWindows = r.parallelWindows;
-            rep.parallelEngine.push_back(e);
-            std::printf("  threads=%d%s %12llu events %9.1f ms  "
-                        "hash %016llx\n",
-                        threads,
-                        threads == 0 ? " (serial queue)" : "",
-                        static_cast<unsigned long long>(r.events),
-                        r.wallMs,
-                        static_cast<unsigned long long>(r.stateHash));
-            std::fflush(stdout);
-            return r.stateHash;
-        };
-
-        const std::uint64_t want = runPoint(0);
-        for (int t : counts) {
-            if (runPoint(t) != want) {
-                std::fprintf(stderr,
-                             "parallel engine diverged from the "
-                             "serial queue at threads=%d\n",
-                             t);
-                return 1;
-            }
-        }
-    }
-
     // Per-subsystem resident-memory sweep (DESIGN.md §16): em3d/small
     // on both systems at increasing node counts, with the telemetry
     // probes recording where the bytes live. This is a capacity
@@ -363,6 +300,7 @@ main()
     // show up in bench_diff like throughput ones do.
     std::printf("\nmem-footprint sweep:\n");
     {
+        rep.hostCores = std::thread::hardware_concurrency();
         for (const auto& ns :
              envList("TT_FOOTPRINT_NODES", {"32", "128", "256"})) {
             const int n = std::atoi(ns.c_str());

@@ -1,6 +1,5 @@
 #include "config/bench_harness.hh"
 
-#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <fstream>
@@ -10,19 +9,6 @@
 
 namespace tt
 {
-
-double
-BenchReport::parallelEngineSpeedup() const
-{
-    double serial = 0, best = 0;
-    for (const auto& e : parallelEngine) {
-        if (e.threads == 0)
-            serial = e.eventsPerSec();
-        else
-            best = std::max(best, e.eventsPerSec());
-    }
-    return serial > 0 && best > 0 ? best / serial : 0;
-}
 
 std::uint64_t
 BenchReport::totalEvents() const
@@ -203,33 +189,6 @@ BenchReport::printTable(std::ostream& os) const
             os << line;
         }
     }
-    if (!parallelEngine.empty()) {
-        std::snprintf(line, sizeof line,
-                      "parallel engine (actor workload, %d nodes, "
-                      "lookahead %llu, host cores %u):\n",
-                      parallelEngineNodes,
-                      static_cast<unsigned long long>(
-                          parallelEngineLookahead),
-                      hostCores);
-        os << line;
-        for (const auto& e : parallelEngine) {
-            std::snprintf(
-                line, sizeof line,
-                "  threads=%d%s %12llu events %9.1f ms = %.0f "
-                "events/sec (hash %016llx)\n",
-                e.threads, e.threads == 0 ? " (serial queue)" : "",
-                static_cast<unsigned long long>(e.events), e.wallMs,
-                e.eventsPerSec(),
-                static_cast<unsigned long long>(e.stateHash));
-            os << line;
-        }
-        if (parallelEngineSpeedup() > 0) {
-            std::snprintf(line, sizeof line,
-                          "  best engine vs serial queue: %.2fx\n",
-                          parallelEngineSpeedup());
-            os << line;
-        }
-    }
 }
 
 namespace
@@ -272,7 +231,6 @@ BenchReport::writeJson(std::ostream& os) const
         jsonEscape(os, c.app);
         os << ", \"dataset\": ";
         jsonEscape(os, c.dataset);
-        os << ", \"threads\": " << c.threads;
         os << ", \"cycles\": " << c.cycles;
         os << ", \"events\": " << c.events;
         os << ", \"wall_ms\": ";
@@ -399,33 +357,6 @@ BenchReport::writeJson(std::ostream& os) const
         }
         os << "  ]}";
     }
-    if (!parallelEngine.empty()) {
-        char hex[32];
-        os << ",\n  \"parallel_engine\": {\"nodes\": "
-           << parallelEngineNodes
-           << ", \"lookahead\": " << parallelEngineLookahead
-           << ", \"host_cores\": " << hostCores
-           << ", \"entries\": [\n";
-        for (std::size_t i = 0; i < parallelEngine.size(); ++i) {
-            const ParallelEngineEntry& e = parallelEngine[i];
-            std::snprintf(hex, sizeof hex, "%016llx",
-                          static_cast<unsigned long long>(e.stateHash));
-            os << "    {\"threads\": " << e.threads
-               << ", \"events\": " << e.events << ", \"wall_ms\": ";
-            jsonNumber(os, e.wallMs);
-            os << ", \"events_per_sec\": ";
-            jsonNumber(os, e.eventsPerSec());
-            os << ", \"parallel_windows\": " << e.parallelWindows
-               << ", \"state_hash\": \"" << hex << "\"}"
-               << (i + 1 < parallelEngine.size() ? "," : "") << "\n";
-        }
-        os << "  ]";
-        if (parallelEngineSpeedup() > 0) {
-            os << ", \"best_speedup_vs_serial\": ";
-            jsonNumber(os, parallelEngineSpeedup());
-        }
-        os << "}";
-    }
     os << "\n}\n";
 }
 
@@ -489,7 +420,6 @@ runBenchCase(const std::string& system, const std::string& appName,
     BenchCase c;
     c.system = system;
     c.app = appName;
-    c.threads = cfg.core.threads;
     c.dataset = dataSetName(ds);
     c.cycles = r.execTime;
     c.events = r.events;

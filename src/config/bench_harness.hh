@@ -32,7 +32,6 @@ struct BenchCase
     std::string system;       ///< dirnnb | stache | migratory | update
     std::string app;
     std::string dataset;
-    int threads = 1;          ///< parallel-engine workers (1 = serial)
     Tick cycles = 0;          ///< simulated execution time
     std::uint64_t events = 0; ///< kernel events executed
     double wallMs = 0;        ///< host wall-clock for Machine::run()
@@ -43,24 +42,6 @@ struct BenchCase
     std::uint64_t netMessages = 0;
     std::uint64_t netWords = 0;
     std::uint64_t netRetransmits = 0; ///< 0 unless faults are on
-};
-
-/**
- * One parallel-engine scaling point: the actor workload
- * (config/actor_bench.hh) run at a given worker count.
- */
-struct ParallelEngineEntry
-{
-    int threads = 0;            ///< 0 = plain serial EventQueue
-    std::uint64_t events = 0;
-    double wallMs = 0;
-    std::uint64_t stateHash = 0;
-    std::uint64_t parallelWindows = 0;
-
-    double eventsPerSec() const
-    {
-        return wallMs > 0 ? events / (wallMs / 1000.0) : 0;
-    }
 };
 
 /** An aggregated report over a set of cases. */
@@ -153,25 +134,8 @@ struct BenchReport
         std::vector<Telemetry::ProbeResult> subsystems;
     };
     std::vector<MemFootprintEntry> memFootprint;
-
-    /**
-     * Parallel-engine scaling sweep (DESIGN.md §12): the
-     * order-insensitive actor workload run through the plain serial
-     * queue (threads == 0) and the ParallelEngine at increasing
-     * worker counts. Every entry must report the same stateHash —
-     * that is the determinism cross-check, asserted by the sweep
-     * before the report is written. An empty vector means "not
-     * measured" and the JSON omits the section. hostCores records
-     * std::thread::hardware_concurrency() at measurement time so a
-     * reader can tell whether the host could physically scale.
-     */
-    std::vector<ParallelEngineEntry> parallelEngine;
-    int parallelEngineNodes = 0;
-    Tick parallelEngineLookahead = 0;
+    /** std::thread::hardware_concurrency() at measurement time. */
     unsigned hostCores = 0;
-
-    /** Best engine entry's ev/s over the serial (threads==0) entry. */
-    double parallelEngineSpeedup() const;
 
     std::uint64_t totalEvents() const;
     double totalWallMs() const;

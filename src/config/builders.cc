@@ -13,52 +13,6 @@ namespace
 {
 
 /**
- * Build the sharded parallel engine when the config asks for more
- * than one worker (DESIGN.md §12). The lookahead window is the
- * minimum network latency — the smallest distance any cross-node
- * event can travel, which is what makes a window causally closed.
- */
-void
-attachEngine(TargetMachine& t, const MachineConfig& cfg)
-{
-    if (cfg.core.threads <= 1)
-        return;
-    if (cfg.check.enable) {
-        // The sanitizer's shadow state is single-threaded by design
-        // (hooks fire from every shard); checked runs use the serial
-        // cross-check engine. Results are byte-identical either way.
-        tt_warn("--check forces the serial engine (requested ",
-                cfg.core.threads, " threads)");
-        return;
-    }
-    if (cfg.recovery.checkpointEpoch > 0 ||
-        !cfg.faults.crashes.empty()) {
-        // Checkpoint/restart and crash rollback are defined on the
-        // serial calendar queue (jumpTo/clearPending have no sharded
-        // equivalent); both force the serial engine.
-        tt_warn("--checkpoint/crash faults force the serial engine "
-                "(requested ",
-                cfg.core.threads, " threads)");
-        return;
-    }
-    const ObsConfig& oc = cfg.obs;
-    if (!oc.traceFile.empty() || oc.samplePeriod > 0 || oc.analyze ||
-        oc.txn || (oc.enable && oc.profile)) {
-        // Stream consumers (trace writer, sampler, analyzers,
-        // profiler) serialize the whole record stream; like --check
-        // they force the serial engine. Results are byte-identical
-        // either way (asserted in tests/config/test_threads_identity).
-        tt_warn("--trace/--analyze/--trace-critical force the serial "
-                "engine (requested ",
-                cfg.core.threads, " threads)");
-        return;
-    }
-    t.machine->enableParallel(cfg.core.threads,
-                              std::max<Tick>(1, cfg.net.latency));
-    t.network->setEngine(t.machine->engine());
-}
-
-/**
  * Wire the sanitizer into a freshly built Typhoon/Stache-family
  * target: one checker observes the memory system, the protocol, and
  * the network. Perturbation of same-tick order is applied to the
@@ -237,9 +191,7 @@ attachCheckpoint(TargetMachine& t, const MachineConfig& cfg)
  * §16): one Telemetry owns the HostTimer every hot-path scope charges
  * into, plus the named memory probes polled at deterministic points.
  * Must run LAST — it probes whichever optional subsystems the earlier
- * attach steps built (checker, transport, recorder, engine). Unlike
- * the stream consumers it does not force the serial engine: per-lane
- * utilization under --threads is half the point.
+ * attach steps built (checker, transport, recorder).
  */
 void
 attachTelemetry(TargetMachine& t, const MachineConfig& cfg)
@@ -299,10 +251,6 @@ attachTelemetry(TargetMachine& t, const MachineConfig& cfg)
         t.telemetry->addMemProbe(
             "recorder", [r] { return r->footprintBytes(); });
     }
-    if (ParallelEngine* eng = t.machine->engine()) {
-        eng->enableTelemetry();
-        t.telemetry->setEngine(eng);
-    }
     t.telemetry->registerStats();
 }
 
@@ -315,7 +263,6 @@ buildDirNNB(const MachineConfig& cfg)
     t.machine = std::make_unique<Machine>(cfg.core);
     t.network = std::make_unique<Network>(
         t.machine->eq(), cfg.core.nodes, cfg.net, t.machine->stats());
-    attachEngine(t, cfg);
     t.dir = std::make_unique<DirMemSystem>(*t.machine, *t.network,
                                            cfg.dir);
     t.machine->setMemSystem(t.dir.get());
@@ -344,7 +291,6 @@ buildTyphoonStache(const MachineConfig& cfg)
     t.machine = std::make_unique<Machine>(cfg.core);
     t.network = std::make_unique<Network>(
         t.machine->eq(), cfg.core.nodes, cfg.net, t.machine->stats());
-    attachEngine(t, cfg);
     t.typhoon = std::make_unique<TyphoonMemSystem>(
         *t.machine, *t.network, cfg.typhoon);
     t.protocol =
@@ -365,7 +311,6 @@ buildTyphoonEm3dUpdate(const MachineConfig& cfg)
     t.machine = std::make_unique<Machine>(cfg.core);
     t.network = std::make_unique<Network>(
         t.machine->eq(), cfg.core.nodes, cfg.net, t.machine->stats());
-    attachEngine(t, cfg);
     t.typhoon = std::make_unique<TyphoonMemSystem>(
         *t.machine, *t.network, cfg.typhoon);
     auto proto = std::make_unique<Em3dUpdateProtocol>(
@@ -388,7 +333,6 @@ buildTyphoonMigratory(const MachineConfig& cfg)
     t.machine = std::make_unique<Machine>(cfg.core);
     t.network = std::make_unique<Network>(
         t.machine->eq(), cfg.core.nodes, cfg.net, t.machine->stats());
-    attachEngine(t, cfg);
     t.typhoon = std::make_unique<TyphoonMemSystem>(
         *t.machine, *t.network, cfg.typhoon);
     auto proto = std::make_unique<MigratoryProtocol>(

@@ -68,8 +68,7 @@ struct ObsConfig
     /// classification the critical-path report joins against
     bool txn = false;
     /// simulator self-telemetry (--telemetry, DESIGN.md §16):
-    /// per-subsystem memory accounting, host-time attribution, and
-    /// parallel-lane utilization. Does NOT force the serial engine.
+    /// per-subsystem memory accounting and host-time attribution
     bool telemetry = false;
 };
 
@@ -89,9 +88,9 @@ struct WatchdogConfig
 
 /**
  * Checkpoint/restart configuration (ttsim --checkpoint, DESIGN.md
- * §15). Fault-free, serial-engine runs only; the fingerprint pins the
- * snapshot file to one exact configuration so a restore under a
- * different machine is refused instead of silently diverging.
+ * §15). Fault-free runs only; the fingerprint pins the snapshot file
+ * to one exact configuration so a restore under a different machine
+ * is refused instead of silently diverging.
  */
 struct RecoveryConfig
 {

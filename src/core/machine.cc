@@ -67,7 +67,6 @@ Machine::run(App& app, const RestartPlan* plan)
     Tick start = _eq.now();
     std::vector<int> order;
     if (plan) {
-        tt_assert(!_engine, "checkpoint restore needs the serial engine");
         tt_assert(app.supportsEpochRestart(),
                   "app '", app.name(), "' cannot restart from an epoch");
         _eq.jumpTo(plan->tick);
@@ -83,15 +82,7 @@ Machine::run(App& app, const RestartPlan* plan)
             order.push_back(i);
     }
     spawnBodies(start, order);
-
-    // With the parallel engine attached the run is window-driven;
-    // application events stay on the global queue either way (they
-    // touch cross-node state — see DESIGN.md §12), so the simulated
-    // schedule is identical in both modes.
-    if (_engine)
-        _engine->run();
-    else
-        _eq.run();
+    _eq.run();
 
     for (auto& b : _bodies) {
         if (b.valid() && b.error()) {
@@ -117,8 +108,7 @@ Machine::run(App& app, const RestartPlan* plan)
     for (Tick t : result.cpuFinish)
         if (t > result.execTime)
             result.execTime = t;
-    result.events =
-        _engine ? _engine->executed() : _eq.executed();
+    result.events = _eq.executed();
 
     _bodies.clear();
     app.finish(*this);

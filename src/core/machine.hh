@@ -19,7 +19,6 @@
 #include "core/params.hh"
 #include "core/sync.hh"
 #include "sim/event_queue.hh"
-#include "sim/parallel_engine.hh"
 #include "sim/random.hh"
 #include "sim/stats.hh"
 #include "sim/task.hh"
@@ -104,24 +103,6 @@ class Machine
     MemorySystem& memsys() { return *_memsys; }
 
     /**
-     * Build the sharded parallel engine (DESIGN.md §12): one lane per
-     * node, @p threads workers, windows of @p lookahead ticks (the
-     * minimum network latency). Call once, before run(). With the
-     * engine attached, run() drives it instead of the bare queue;
-     * simulated results stay byte-identical to the serial engine.
-     */
-    void
-    enableParallel(int threads, Tick lookahead)
-    {
-        tt_assert(!_engine, "parallel engine already enabled");
-        _engine = std::make_unique<ParallelEngine>(
-            _eq, _params.nodes, lookahead, threads);
-    }
-
-    /** The parallel engine, or nullptr in serial mode. */
-    ParallelEngine* engine() { return _engine.get(); }
-
-    /**
      * Checkpoint-restore plan (src/recovery). When passed to run(),
      * the initial body spawn is replaced by: jump simulated time to
      * @p tick, apply the snapshot state (canonicalize + memory poke +
@@ -187,7 +168,6 @@ class Machine
     std::vector<std::unique_ptr<Cpu>> _cpus;
     Barrier _barrier;
     MemorySystem* _memsys = nullptr;
-    std::unique_ptr<ParallelEngine> _engine;
 
     // Live only during run().
     App* _app = nullptr;

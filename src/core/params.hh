@@ -47,14 +47,6 @@ struct CoreParams
      */
     Tick quantum = 32;
 
-    /**
-     * Worker threads for the sharded parallel engine (DESIGN.md §12).
-     * 1 (default) keeps the plain serial EventQueue — the cross-check
-     * mode; N > 1 builds a ParallelEngine whose simulated results are
-     * byte-identical to the serial run at any thread count.
-     */
-    int threads = 1;
-
     std::uint64_t seed = 0x7734'1994ULL; ///< master RNG seed
 };
 

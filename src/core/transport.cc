@@ -59,8 +59,8 @@ ReliableTransport::oldestUnackedSince() const
     // that outlives the retry cap surfaces as a watchdog trip.
     Tick oldest = kTickMax;
     for (const Channel& c : _chans)
-        oldest = std::min(
-            oldest, c.headSentAt.load(std::memory_order_relaxed));
+        if (!c.window.empty())
+            oldest = std::min(oldest, c.window.front().sentAt);
     return oldest;
 }
 
@@ -117,7 +117,6 @@ ReliableTransport::reset()
 {
     for (Channel& c : _chans) {
         c.window.clear();
-        c.headSentAt.store(kTickMax, std::memory_order_relaxed);
         c.nextSeq = 1;
         c.rto = 0;
         c.retries = 0;
@@ -140,8 +139,6 @@ ReliableTransport::onSend(Message& m, Tick when)
     // recorder stamps each physical copy's obsId separately).
     const bool wasIdle = c.window.empty();
     c.window.push_back({m, when});
-    if (wasIdle)
-        c.headSentAt.store(when, std::memory_order_relaxed);
     if (wasIdle && !c.dead) {
         c.rto = _p.rto;
         c.retries = 0;
@@ -258,9 +255,6 @@ ReliableTransport::handleAck(NodeId src, NodeId dst,
     if (!advanced)
         return; // stale cumulative ack; nothing new
 
-    c.headSentAt.store(c.window.empty() ? kTickMax
-                                        : c.window.front().sentAt,
-                       std::memory_order_relaxed);
     c.retries = 0;
     c.rto = _p.rto;
     // A late ack can revive a link declared dead (e.g. a partition

@@ -40,7 +40,6 @@
 #ifndef TT_CORE_TRANSPORT_HH
 #define TT_CORE_TRANSPORT_HH
 
-#include <atomic>
 #include <cstdint>
 #include <deque>
 #include <functional>
@@ -149,14 +148,6 @@ class ReliableTransport final : public TransportHooks
             Tick sentAt = 0; ///< original send tick (watchdog probe)
         };
         std::deque<Unacked> window;
-        /**
-         * Relaxed-atomic snapshot of window.front().sentAt (kTickMax
-         * when idle), maintained O(1) at every window mutation so the
-         * watchdog probe is a wait-free scan that never touches the
-         * deque — safe even if a probe ever runs concurrently with
-         * the parallel engine (DESIGN.md §12).
-         */
-        std::atomic<Tick> headSentAt{kTickMax};
         std::uint32_t nextSeq = 1;  ///< sender: next seq to stamp
         Tick rto = 0;               ///< current backed-off timeout
         int retries = 0;            ///< consecutive head timeouts

@@ -35,10 +35,6 @@ DirMemSystem::DirMemSystem(Machine& m, Network& net, DirParams params)
           m.stats().counter("dir.writebacks_received"))
 {
     _nodes.reserve(_cp.nodes);
-    _openSince =
-        std::make_unique<std::atomic<Tick>[]>(_cp.nodes);
-    for (int i = 0; i < _cp.nodes; ++i)
-        _openSince[i].store(kTickMax, std::memory_order_relaxed);
     for (int i = 0; i < _cp.nodes; ++i) {
         Node n;
         n.cache = std::make_unique<CacheModel>(
@@ -100,7 +96,6 @@ DirMemSystem::canonicalize(std::uint64_t epochSeed)
         // a crash rollback the awaiting coroutine frames are already
         // destroyed and the pointers dangle.
         n.pending.clear();
-        _openSince[i].store(kTickMax, std::memory_order_relaxed);
     }
     _dir.clear();
     _faultInvalidates = 0;
@@ -242,13 +237,10 @@ DirMemSystem::oldestPendingSince() const
     // Watchdog probe: every remote miss parks a PendingMiss at the
     // requesting node until the grant arrives, so the oldest pending
     // issue time bounds how long any transaction has been open.
-    // Wait-free scan over the per-node relaxed-atomic snapshots (kept
-    // current by noteOpenSince at every pending-map mutation) instead
-    // of walking the maps themselves.
     Tick oldest = kTickMax;
-    for (int i = 0; i < _cp.nodes; ++i)
-        oldest = std::min(
-            oldest, _openSince[i].load(std::memory_order_relaxed));
+    for (const Node& n : _nodes)
+        for (const auto& [blk, miss] : n.pending)
+            oldest = std::min(oldest, miss.req->issueTime);
     return oldest;
 }
 
@@ -386,7 +378,6 @@ DirMemSystem::access(MemRequest* req)
         tt_assert(!n.pending.count(blk),
                   "duplicate outstanding miss at node ", self);
         n.pending[blk] = PendingMiss{req, upgrade};
-        noteOpenSince(self);
         _cLocalConflictMisses.inc();
         if (_obs)
             _obs->missStart(self, blk, req->op == MemOp::Write,
@@ -402,7 +393,6 @@ DirMemSystem::access(MemRequest* req)
     tt_assert(!n.pending.count(blk),
               "duplicate outstanding miss at node ", self);
     n.pending[blk] = PendingMiss{req, upgrade};
-    noteOpenSince(self);
     _cRemoteMisses.inc();
     if (_obs)
         _obs->missStart(self, blk, req->op == MemOp::Write,
@@ -880,7 +870,6 @@ DirMemSystem::completeAtRequester(NodeId node, Addr blk, bool withData,
               node);
     MemRequest* req = it->second.req;
     n.pending.erase(it);
-    noteOpenSince(node);
 
     const Tick start = ctrlStart(node, when);
     Tick cost = _p.remoteMissFinish;
@@ -932,7 +921,6 @@ DirMemSystem::completeLocal(NodeId node, Addr blk, Tick when)
     MemRequest* req = it->second.req;
     const bool upgrade = it->second.upgrade;
     n.pending.erase(it);
-    noteOpenSince(node);
 
     Tick cost = 0;
     if (upgrade && n.cache->presentShared(req->vaddr)) {

@@ -22,7 +22,6 @@
 #define TT_DIR_DIR_MEM_SYSTEM_HH
 
 #include <algorithm>
-#include <atomic>
 #include <deque>
 #include <memory>
 #include <unordered_map>
@@ -239,25 +238,6 @@ class DirMemSystem : public MemorySystem
     HostTimer* _telem = nullptr;    ///< self-telemetry timer, opt-in
 
     std::vector<Node> _nodes;
-
-    /**
-     * Per-node oldest-pending-miss snapshot for the watchdog probe:
-     * min over n.pending of req->issueTime, kTickMax when none.
-     * Maintained at the insert/erase sites so oldestPendingSince() is
-     * a wait-free relaxed-atomic scan that never walks the pending
-     * maps (safe under the parallel engine — DESIGN.md §12).
-     */
-    std::unique_ptr<std::atomic<Tick>[]> _openSince;
-
-    /** Recompute node @p id's _openSince cell (pending maps are tiny). */
-    void
-    noteOpenSince(NodeId id)
-    {
-        Tick t = kTickMax;
-        for (const auto& [blk, miss] : _nodes[id].pending)
-            t = std::min(t, miss.req->issueTime);
-        _openSince[id].store(t, std::memory_order_relaxed);
-    }
 
     // Occurrence counters for the Nth-occurrence mutation knobs
     // (DirParams::faultSkip*Nth).

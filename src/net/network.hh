@@ -20,7 +20,6 @@
 #include "obs/recorder.hh"
 #include "sim/event_queue.hh"
 #include "sim/host_timer.hh"
-#include "sim/parallel_engine.hh"
 #include "sim/random.hh"
 #include "sim/stats.hh"
 #include "sim/types.hh"
@@ -103,8 +102,8 @@ class Network
 
     /**
      * Resident bytes of the fabric's own structures (telemetry memory
-     * probe): receiver table, port occupancies, lane shards, jitter
-     * clamps, dead-node set.
+     * probe): receiver table, port occupancies, jitter clamps,
+     * dead-node set.
      */
     std::size_t
     footprintBytes() const
@@ -112,57 +111,15 @@ class Network
         return _receivers.capacity() * sizeof(Receiver) +
                _linkFree.capacity() * sizeof(Tick) +
                _ejectFree.capacity() * sizeof(Tick) +
-               _laneSafe.capacity() +
-               _laneStats.capacity() * sizeof(LaneNetStats) +
                _lastArrive.capacity() * sizeof(Tick) +
                _dead.capacity();
     }
 
-    /**
-     * Attach the sharded engine (DESIGN.md §12). Delivery to
-     * parallel-safe receivers is then routed to the destination
-     * node's lane instead of the global queue, and the per-message
-     * counters switch to per-source shards folded back into the
-     * StatSet by an engine finalizer (sums commute, so the totals are
-     * thread-count invariant). nullptr keeps the serial path.
-     */
+    /** Install the message receiver for @p node. */
     void
-    setEngine(ParallelEngine* e)
-    {
-        _engine = e;
-        if (_engine) {
-            tt_assert(_engine->lanes() >= nodes(),
-                      "engine has fewer lanes than network nodes");
-            _laneSafe.assign(_receivers.size(), 0);
-            _laneStats.resize(_receivers.size());
-            _engine->addFinalizer([this] { flushLaneStats(); });
-        }
-    }
-
-    /**
-     * Install the message receiver for @p node. A receiver registered
-     * @p parallelSafe promises to touch only node-local state (plus
-     * the network's own sharded send path), so with an engine attached
-     * its deliveries execute on the node's lane. Sharded mode is
-     * incompatible with the serializing/observing hooks — transport,
-     * faults, checker, jitter, ejection — which all mutate shared
-     * state per message.
-     */
-    void
-    setReceiver(NodeId node, Receiver r, bool parallelSafe = false)
+    setReceiver(NodeId node, Receiver r)
     {
         _receivers.at(node) = std::move(r);
-        if (parallelSafe && _engine) {
-            tt_assert(!_transport && !_faults && !_checker &&
-                          !_params.jitterMax && !_params.ejectPerPacket,
-                      "parallel-safe receivers are incompatible with "
-                      "transport/faults/checker/jitter/ejection");
-            tt_assert(!_obs || _obs->sharded(),
-                      "flight recorder must be in sharded mode under "
-                      "the parallel engine");
-            _laneSafe.at(node) = 1;
-            _sharded = true;
-        }
     }
 
     // --- crash-stop support (src/recovery, DESIGN.md §15) -------------
@@ -209,8 +166,7 @@ class Network
      * Messages currently in flight (deliver events scheduled but not
      * yet executed). The checkpoint manager requires this to be zero
      * at a snapshot epoch: a peeked block whose latest bytes ride in a
-     * transit writeback would snapshot stale. Serial engine only (the
-     * sharded lanes never coexist with checkpointing).
+     * transit writeback would snapshot stale.
      */
     long inflight() const { return _inflight; }
 
@@ -303,24 +259,10 @@ class Network
         }
 
         const std::uint32_t pkts = msg.packets();
-        if (_sharded) {
-            // A lane may only send as itself: the injection port state
-            // and the stat shard below are owned by the source lane.
-            tt_assert(!_engine->inLaneContext() ||
-                          _engine->currentLane() == msg.src,
-                      "lane ", _engine->currentLane(),
-                      " sending as node ", msg.src);
-            LaneNetStats& ls = _laneStats[msg.src];
-            ++ls.msgs;
-            ls.packets += pkts;
-            ls.words += msg.sizeWords();
-            ++(msg.vnet == VNet::Request ? ls.reqMsgs : ls.respMsgs);
-        } else {
-            _msgs.inc();
-            _packets.inc(pkts);
-            _words.inc(msg.sizeWords());
-            (msg.vnet == VNet::Request ? _reqMsgs : _respMsgs).inc();
-        }
+        _msgs.inc();
+        _packets.inc(pkts);
+        _words.inc(msg.sizeWords());
+        (msg.vnet == VNet::Request ? _reqMsgs : _respMsgs).inc();
 
         // Injection serialization at the source.
         Tick& free = _linkFree[msg.src];
@@ -392,8 +334,7 @@ class Network
 
         if (dupArrive) {
             Message copy = msg;
-            if (!_sharded)
-                ++_inflight;
+            ++_inflight;
             _eq.schedule(dupArrive,
                          [this, m = std::move(copy)]() mutable {
                              deliver(std::move(m));
@@ -402,24 +343,8 @@ class Network
         if (dropped)
             return;
 
-        // The closure owns the message. Under the sharded engine a
-        // parallel-safe destination's delivery runs on its own lane;
-        // everything else stays on the global queue (a lane-context
-        // sender can never reach a non-lane destination — asserted —
-        // because scheduling into the global queue from a worker
-        // thread would race).
-        if (_sharded && _laneSafe[msg.dst]) {
-            const NodeId dst = msg.dst;
-            _engine->scheduleLane(dst, arrive,
-                                  [this, m = std::move(msg)]() mutable {
-                                      deliver(std::move(m));
-                                  });
-            return;
-        }
-        tt_assert(!_engine || !_engine->inLaneContext(),
-                  "lane-context send to non-lane receiver ", msg.dst);
-        if (!_sharded)
-            ++_inflight;
+        // The closure owns the message.
+        ++_inflight;
         _eq.schedule(arrive,
                      [this, m = std::move(msg)]() mutable {
                          deliver(std::move(m));
@@ -434,10 +359,7 @@ class Network
         // sites re-scope to Handler (DESIGN.md §16). No-op unless the
         // current event is a timed sample.
         TelemScope ts(_telem, HostTimer::Cat::Net);
-        // Lane deliveries never incremented (sharded mode has no
-        // checkpointing), so the counter is serial-path only.
-        if (!_sharded)
-            --_inflight;
+        --_inflight;
         // Traffic already in flight when the crash struck: the
         // victim's outstanding sends and its inbound traffic vanish.
         if (_recoveryArmed && (_dead[m.src] || _dead[m.dst])) {
@@ -456,39 +378,12 @@ class Network
         }
         _receivers[m.dst](std::move(m));
     }
-    /** Per-source-node counter shard (sharded mode; no false sharing). */
-    struct alignas(64) LaneNetStats
-    {
-        std::uint64_t msgs = 0;
-        std::uint64_t packets = 0;
-        std::uint64_t words = 0;
-        std::uint64_t reqMsgs = 0;
-        std::uint64_t respMsgs = 0;
-    };
-
-    /** Fold the lane shards into the StatSet (engine finalizer). */
-    void
-    flushLaneStats()
-    {
-        for (LaneNetStats& ls : _laneStats) {
-            _msgs.inc(ls.msgs);
-            _packets.inc(ls.packets);
-            _words.inc(ls.words);
-            _reqMsgs.inc(ls.reqMsgs);
-            _respMsgs.inc(ls.respMsgs);
-            ls = LaneNetStats{};
-        }
-    }
 
     EventQueue& _eq;
     NetworkParams _params;
     std::vector<Receiver> _receivers;
     std::vector<Tick> _linkFree;
     std::vector<Tick> _ejectFree;
-    ParallelEngine* _engine = nullptr;      ///< sharded engine, opt-in
-    std::vector<std::uint8_t> _laneSafe;    ///< per-node lane delivery
-    std::vector<LaneNetStats> _laneStats;   ///< per-src counter shards
-    bool _sharded = false; ///< any parallel-safe receiver registered
     CheckHooks* _checker = nullptr; ///< coherence sanitizer, opt-in
     FlightRecorder* _obs = nullptr; ///< flight recorder, opt-in
     FaultModel* _faults = nullptr;  ///< unreliable fabric, opt-in
@@ -498,7 +393,7 @@ class Network
     std::vector<Tick> _lastArrive;  ///< per-(src,dst) FIFO clamp
     std::vector<std::uint8_t> _dead; ///< crash-stopped nodes, opt-in
     bool _recoveryArmed = false;     ///< armRecovery() called
-    long _inflight = 0;              ///< scheduled deliveries (serial)
+    long _inflight = 0;              ///< scheduled deliveries
     std::uint64_t _crashDrops = 0;   ///< dead-node gate drops
 
     // Stat handles resolved once at construction (Counter& from a

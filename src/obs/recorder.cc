@@ -1,6 +1,5 @@
 #include "obs/recorder.hh"
 
-#include <algorithm>
 #include <iomanip>
 
 #include "obs/perfetto.hh"
@@ -209,23 +208,6 @@ FlightRecorder::finalize()
         _txn->finalize(_sharing.get());
     if (_writer)
         _writer->close();
-}
-
-std::vector<TraceRecord>
-FlightRecorder::mergedRecords() const
-{
-    std::vector<TraceRecord> out;
-    for (int n = 0; n < nodes(); ++n) {
-        std::vector<TraceRecord> ring = ringOf(n);
-        out.insert(out.end(), ring.begin(), ring.end());
-    }
-    // Stable on tick alone: same-tick records keep node-ascending,
-    // then per-ring (= per-lane deterministic) order.
-    std::stable_sort(out.begin(), out.end(),
-                     [](const TraceRecord& a, const TraceRecord& b) {
-                         return a.tick < b.tick;
-                     });
-    return out;
 }
 
 std::vector<TraceRecord>

@@ -114,29 +114,6 @@ class FlightRecorder
     void installCrashDump();
 
     /**
-     * Sharded mode for the parallel engine (DESIGN.md §12): record()
-     * may then be called concurrently from lane workers, each writing
-     * only its own node's ring. Causal message ids switch from the
-     * global counter to per-source-node id spaces (src in the top
-     * byte), keeping them unique and thread-count invariant. Stream
-     * consumers (trace writer, profiler, sampler) serialize the whole
-     * machine and are rejected; use mergedRecords() to export.
-     */
-    void
-    enableSharded()
-    {
-        tt_assert(!_haveConsumers,
-                  "sharded recorder cannot have stream consumers "
-                  "(trace/profiler/sampler)");
-        tt_assert(nodes() <= 0xff,
-                  "sharded msg-id space encodes node in 8 bits");
-        _sharded = true;
-        _laneMsgId.assign(_rings.size(), 0);
-    }
-
-    bool sharded() const { return _sharded; }
-
-    /**
      * Associate a human-readable name with an active-message handler
      * id (shown in Perfetto slices and ring dumps). @p name must be a
      * string literal or otherwise outlive the recorder.
@@ -151,14 +128,7 @@ class FlightRecorder
     msgSend(Message& m, Tick depart, Tick arrive,
             std::uint8_t flags = 0)
     {
-        if (_sharded) {
-            std::uint32_t& id = _laneMsgId[m.src];
-            tt_assert(id < 0x00ff'ffff, "sharded msg-id space "
-                                        "exhausted for node ", m.src);
-            m.obsId = (static_cast<std::uint32_t>(m.src) << 24) | ++id;
-        } else {
-            m.obsId = ++_lastMsgId;
-        }
+        m.obsId = ++_lastMsgId;
         TraceRecord r;
         r.kind = RecKind::MsgSend;
         r.tick = depart;
@@ -442,11 +412,7 @@ class FlightRecorder
 
     int nodes() const { return static_cast<int>(_rings.size()); }
 
-    /**
-     * Records ever written, summed over the per-node rings (safe to
-     * call once lanes are quiesced; rings are lane-owned in sharded
-     * mode).
-     */
+    /** Records ever written, summed over the per-node rings. */
     std::uint64_t
     recordCount() const
     {
@@ -458,13 +424,6 @@ class FlightRecorder
 
     std::uint32_t lastMsgId() const { return _lastMsgId; }
 
-    /**
-     * Deterministic export of every retained record: the per-node
-     * rings concatenated oldest-first and stably sorted by tick (ties
-     * keep node order), so the result is identical for every thread
-     * count. Call only with lanes quiesced.
-     */
-    std::vector<TraceRecord> mergedRecords() const;
     LatencyProfiler* profiler() { return _profiler.get(); }
     SharingAnalyzer* sharing() { return _sharing.get(); }
     TxnTracer* txn() { return _txn.get(); }
@@ -488,7 +447,6 @@ class FlightRecorder
     footprintBytes() const
     {
         std::size_t b = _rings.capacity() * sizeof(Ring) +
-                        _laneMsgId.capacity() * sizeof(std::uint32_t) +
                         _openTxn.capacity() * sizeof(std::uint32_t) +
                         _actTxn.capacity() * sizeof(std::uint32_t);
         for (const Ring& r : _rings)
@@ -507,9 +465,6 @@ class FlightRecorder
     void
     record(const TraceRecord& r)
     {
-        // In sharded mode every record targets the emitting lane's own
-        // ring, so all state touched here is lane-owned (no _recorded
-        // global: recordCount() sums the per-ring totals).
         Ring& ring = _rings[static_cast<std::size_t>(
             r.node >= 0 && r.node < nodes() ? r.node : 0)];
         ring.buf[ring.next] = r;
@@ -541,9 +496,6 @@ class FlightRecorder
 
     std::vector<Ring> _rings;
     std::uint32_t _lastMsgId = 0;
-    bool _sharded = false;
-    /// per-source-node causal-id counters (sharded mode)
-    std::vector<std::uint32_t> _laneMsgId;
     bool _haveConsumers = false;
     bool _finalized = false;
     bool _crashHooked = false;
@@ -553,8 +505,7 @@ class FlightRecorder
     std::unique_ptr<SharingAnalyzer> _sharing;
     std::unique_ptr<TxnTracer> _txn;
 
-    // Transaction-tracing state (DESIGN.md §14; serial engine only —
-    // enableTxn makes _haveConsumers true, which rejects sharding).
+    // Transaction-tracing state (DESIGN.md §14).
     bool _wantTxn = false;
     std::uint32_t _lastTxnId = 0;
     std::vector<std::uint32_t> _openTxn; ///< per-node open demand miss

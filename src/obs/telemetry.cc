@@ -7,7 +7,6 @@
 #include <fstream>
 
 #include "sim/logging.hh"
-#include "sim/parallel_engine.hh"
 #include "sim/stats.hh"
 
 namespace tt
@@ -87,14 +86,6 @@ Telemetry::registerStats()
     _stats.counter("obs.host.attributed_pct");
     _stats.counter("obs.host.timed_events");
     _stats.counter("obs.host.sample_every");
-    if (_engine) {
-        _stats.counter("obs.telemetry.engine.windows");
-        _stats.counter("obs.telemetry.engine.serial_windows");
-        _stats.counter("obs.telemetry.engine.lane_events");
-        _stats.counter("obs.telemetry.engine.global_events");
-        _stats.counter("obs.telemetry.engine.worker_stall_us");
-        _stats.counter("obs.telemetry.engine.mailbox_hwm");
-    }
 }
 
 void
@@ -171,22 +162,6 @@ Telemetry::runEnd()
     _results.clear();
     for (const Probe& p : _probes)
         _results.push_back(ProbeResult{p.name, p.cur, p.peak});
-    _eng = EngineSnap{};
-    if (_engine) {
-        _eng.present = true;
-        _eng.threads = _engine->threads();
-        _eng.lanes = _engine->lanes();
-        _eng.windows = _engine->windows();
-        _eng.serialWindows = _engine->serialWindows();
-        _eng.laneEvents = _engine->laneExecuted();
-        _eng.globalEvents = _engine->executed() - _eng.laneEvents;
-        for (int i = 0; i < _eng.lanes; ++i)
-            _eng.laneExecuted.push_back(_engine->laneExecutedAt(i));
-        for (int w = 0; w < _eng.threads; ++w) {
-            _eng.mailboxHwm.push_back(_engine->workerDrainHwm(w));
-            _eng.workerStallNs.push_back(_engine->workerStallNs(w));
-        }
-    }
 }
 
 double
@@ -223,7 +198,7 @@ double
 Telemetry::engineNs() const
 {
     // Residual: wall time not inside (extrapolated) event callbacks —
-    // queue management, window barriers, promotion, worker idling.
+    // queue management and the loop's own bookkeeping.
     double ev = static_cast<double>(_timer.eventTsc()) * nsPerTsc() *
                 HostTimer::kTimeSample * catScale();
     return std::max(0.0, static_cast<double>(_wallNs) - ev);
@@ -258,24 +233,6 @@ Telemetry::finalize()
         .set(static_cast<std::uint64_t>(attributedPct()));
     _stats.counter("obs.host.timed_events").set(_timer.timedEvents());
     _stats.counter("obs.host.sample_every").set(HostTimer::kTimeSample);
-    if (_eng.present) {
-        _stats.counter("obs.telemetry.engine.windows")
-            .set(_eng.windows);
-        _stats.counter("obs.telemetry.engine.serial_windows")
-            .set(_eng.serialWindows);
-        _stats.counter("obs.telemetry.engine.lane_events")
-            .set(_eng.laneEvents);
-        _stats.counter("obs.telemetry.engine.global_events")
-            .set(_eng.globalEvents);
-        std::uint64_t stall = 0, hwm = 0;
-        for (std::uint64_t s : _eng.workerStallNs)
-            stall += s;
-        for (std::uint64_t h : _eng.mailboxHwm)
-            hwm = std::max(hwm, h);
-        _stats.counter("obs.telemetry.engine.worker_stall_us")
-            .set(stall / 1000);
-        _stats.counter("obs.telemetry.engine.mailbox_hwm").set(hwm);
-    }
 }
 
 void
@@ -316,30 +273,7 @@ Telemetry::writeReport(std::ostream& os) const
     }
     os << ", \"engine\": ";
     jsonNum(os, engineNs() / 1e6);
-    os << "}\n  }";
-
-    if (_eng.present) {
-        os << ",\n  \"engine\": {\n";
-        os << "    \"threads\": " << _eng.threads << ",\n";
-        os << "    \"lanes\": " << _eng.lanes << ",\n";
-        os << "    \"windows\": " << _eng.windows << ",\n";
-        os << "    \"serial_windows\": " << _eng.serialWindows << ",\n";
-        os << "    \"lane_events\": " << _eng.laneEvents << ",\n";
-        os << "    \"global_events\": " << _eng.globalEvents << ",\n";
-        os << "    \"lane_executed\": [";
-        for (std::size_t i = 0; i < _eng.laneExecuted.size(); ++i)
-            os << (i ? ", " : "") << _eng.laneExecuted[i];
-        os << "],\n    \"mailbox_hwm\": [";
-        for (std::size_t i = 0; i < _eng.mailboxHwm.size(); ++i)
-            os << (i ? ", " : "") << _eng.mailboxHwm[i];
-        os << "],\n    \"worker_stall_ms\": [";
-        for (std::size_t i = 0; i < _eng.workerStallNs.size(); ++i) {
-            os << (i ? ", " : "");
-            jsonNum(os, _eng.workerStallNs[i] / 1e6);
-        }
-        os << "]\n  }";
-    }
-    os << "\n}\n";
+    os << "}\n  }\n}\n";
 }
 
 bool
@@ -376,13 +310,6 @@ Telemetry::printSummary(std::ostream& os) const
                   "telemetry      :   %-9s %8.2f ms", "engine",
                   engineNs() / 1e6);
     os << buf << "\n";
-    if (_eng.present) {
-        os << "telemetry      : engine " << _eng.threads
-           << " threads, " << _eng.lanes << " lanes, " << _eng.windows
-           << " windows (" << _eng.serialWindows << " serial), "
-           << _eng.laneEvents << " lane / " << _eng.globalEvents
-           << " global events\n";
-    }
 }
 
 } // namespace tt

@@ -1,10 +1,10 @@
 /**
  * @file
  * Simulator self-telemetry (DESIGN.md §16): per-subsystem memory
- * accounting, host-time attribution, and parallel-lane utilization,
- * assembled behind `ttsim --telemetry[=FILE]`.
+ * accounting and host-time attribution, assembled behind
+ * `ttsim --telemetry[=FILE]`.
  *
- * Three data sources feed one report:
+ * Two data sources feed one report:
  *
  *  - *Memory probes*: each subsystem exposes a deterministic
  *    footprintBytes() computed from its container capacities; the
@@ -17,18 +17,14 @@
  *    times every kTimeSample-th event with scoped TSC counters; this
  *    layer calibrates TSC->ns against steady_clock over the run,
  *    extrapolates by the sampling factor, and charges the residual
- *    (wall minus extrapolated event time) to the engine itself, so
- *    the categories sum to the measured wall time.
+ *    (wall minus extrapolated event time) to the event loop itself
+ *    (the "engine" category), so the categories sum to the measured
+ *    wall time.
  *
- *  - *Engine counters*: per-lane events executed, window/serial-window
- *    counts, per-worker mailbox high-water marks and barrier-stall
- *    time, pulled from the ParallelEngine after the run.
- *
- * Determinism: everything under `obs.telemetry.*` (event/mem/lane
- * counters) is deterministic for a fixed configuration; everything
- * under `obs.host.*` and the per-worker stall times are host
- * measurements and are excluded from determinism comparisons (the
- * check.sh identity legs compare simulated results only).
+ * Determinism: everything under `obs.telemetry.*` (memory counters)
+ * is deterministic for a fixed configuration; everything under
+ * `obs.host.*` is a host measurement and is excluded from
+ * determinism comparisons.
  */
 
 #ifndef TT_OBS_TELEMETRY_HH
@@ -48,7 +44,6 @@ namespace tt
 {
 
 class StatSet;
-class ParallelEngine;
 
 class Telemetry
 {
@@ -72,12 +67,9 @@ class Telemetry
     /** Register a named subsystem probe (builders, before run). */
     void addMemProbe(const std::string& name, MemProbe probe);
 
-    /** Attach the parallel engine for lane telemetry (may be null). */
-    void setEngine(ParallelEngine* engine) { _engine = engine; }
-
     /**
      * Register every stat handle this run will write. Must be called
-     * after the last addMemProbe()/setEngine() and before run(), so
+     * after the last addMemProbe() and before run(), so
      * the StatSet key set is fixed up front (checkpoint restore
      * asserts matching key sets).
      */
@@ -91,7 +83,7 @@ class Telemetry
     /** Capture the wall/TSC origin and take the first memory sample. */
     void runBegin();
 
-    /** Capture the wall/TSC end, final memory sample, engine pull. */
+    /** Capture the wall/TSC end and the final memory sample. */
     void runEnd();
 
     /**
@@ -134,7 +126,7 @@ class Telemetry
 
     /** Extrapolated ns charged to @p c (valid after runEnd()). */
     double catNs(HostTimer::Cat c) const;
-    /** Residual ns charged to the engine (wall - event time, >= 0). */
+    /** Residual ns charged to the event loop (wall - event time). */
     double engineNs() const;
     /** Attributed time (categories + engine) over wall, in percent. */
     double attributedPct() const;
@@ -155,7 +147,6 @@ class Telemetry
     StatSet& _stats;
     int _nodes;
     HostTimer _timer;
-    ParallelEngine* _engine = nullptr;
 
     std::vector<Probe> _probes;
     std::size_t _totalPeak = 0;
@@ -166,22 +157,6 @@ class Telemetry
     std::uint64_t _tsc1 = 0;
     std::uint64_t _wallNs = 0;
     bool _ran = false;
-
-    // Engine pull (populated by runEnd when an engine is attached).
-    struct EngineSnap
-    {
-        bool present = false;
-        int threads = 0;
-        int lanes = 0;
-        std::uint64_t windows = 0;
-        std::uint64_t serialWindows = 0;
-        std::uint64_t laneEvents = 0;
-        std::uint64_t globalEvents = 0;
-        std::vector<std::uint64_t> laneExecuted;
-        std::vector<std::uint64_t> mailboxHwm;   ///< per worker
-        std::vector<std::uint64_t> workerStallNs; ///< per worker
-    };
-    EngineSnap _eng;
 
     std::vector<ProbeResult> _results;
 

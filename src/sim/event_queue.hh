@@ -147,18 +147,6 @@ class EventQueue
     std::uint64_t executed() const { return _executed; }
 
     /**
-     * Tick of the next pending event without consuming it (kTickMax
-     * when the queue is empty). Advances lazy bucket finalization,
-     * like step() would.
-     */
-    Tick
-    nextEventTick()
-    {
-        Tick when;
-        return nextWhen(&when) ? when : kTickMax;
-    }
-
-    /**
      * Reset time and drop all pending events (containers are cleared
      * wholesale, not popped entry by entry). Only meaningful between
      * complete simulations.

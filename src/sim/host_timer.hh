@@ -17,14 +17,8 @@
  * budget while the x(kTimeSample) extrapolation stays statistically
  * faithful for runs of millions of events.
  *
- * Threading: timing mode is entered and left only by the global
- * EventQueue's step(), which executes on the coordinating thread —
- * either the serial engine, the parallel engine's pure-global fast
- * path, or a serial window (workers parked at the epoch barrier in all
- * three). Worker-lane events may construct TelemScopes concurrently,
- * but they observe timing() == false: the engine's epoch/arrival
- * acquire-release pairs order every _timing write before any worker
- * resumes, so the plain bool read is race-free.
+ * Timing mode is entered and left only by EventQueue::step(); the
+ * simulator is single-threaded, so the state here is plain data.
  */
 
 #ifndef TT_SIM_HOST_TIMER_HH

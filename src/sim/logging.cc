@@ -1,7 +1,6 @@
 #include "sim/logging.hh"
 
 #include <cstdio>
-#include <stdexcept>
 
 namespace tt
 {
@@ -48,7 +47,7 @@ fatalImpl(const char* file, int line, const std::string& msg)
 {
     std::fprintf(stderr, "fatal: %s (%s:%d)\n", msg.c_str(), file, line);
     std::fflush(stderr);
-    throw std::runtime_error("tt fatal: " + msg);
+    throw FatalError("tt fatal: " + msg);
 }
 
 void

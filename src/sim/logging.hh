@@ -10,10 +10,17 @@
 #include <cstdio>
 #include <cstdlib>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 
 namespace tt
 {
+
+/** Thrown by tt_fatal: a user or configuration error, not a bug. */
+struct FatalError : std::runtime_error
+{
+    using std::runtime_error::runtime_error;
+};
 
 namespace log_detail
 {
@@ -68,7 +75,8 @@ PanicHook setPanicHook(PanicHook hook);
                                 ::tt::log_detail::concat(__VA_ARGS__))
 
 /**
- * Report an unrecoverable user/configuration error and exit(1).
+ * Report an unrecoverable user/configuration error: print a "fatal:"
+ * line on stderr and throw FatalError (ttsim exits 2 on it).
  */
 #define tt_fatal(...)                                                      \
     ::tt::log_detail::fatalImpl(__FILE__, __LINE__,                        \

@@ -13,16 +13,11 @@
  *
  * The watchdog is opt-in and lives entirely off the hot path: nothing
  * references it unless a builder arms it, and its periodic check is
- * one probe call every horizon/4 ticks.
- *
- * Parallel-engine contract (DESIGN.md §12): the watchdog's own check
- * events live on the global queue, but its probes must still be safe
- * to run while engine lanes own the probed subsystems' state. Every
- * shipped probe (ReliableTransport::oldestUnackedSince,
- * {Typhoon,Dir}MemSystem::oldestPendingSince) therefore reads only
- * relaxed-atomic snapshot cells maintained O(1) at the mutation
- * sites, never the underlying windows/maps — wait-free, identical
- * values, no behavior change in serial mode.
+ * one probe call every horizon/4 ticks. The shipped probes
+ * (ReliableTransport::oldestUnackedSince,
+ * {Typhoon,Dir}MemSystem::oldestPendingSince) compute their answer
+ * when called, by scanning the open operations per node or channel,
+ * so the mutation sites on the miss path carry no bookkeeping.
  */
 
 #ifndef TT_SIM_WATCHDOG_HH

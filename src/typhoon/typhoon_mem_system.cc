@@ -84,10 +84,6 @@ TyphoonMemSystem::TyphoonMemSystem(Machine& m, Network& net,
       _cNpBulkTransfers(m.stats().counter("np.bulk_transfers"))
 {
     _nodes.resize(_cp.nodes);
-    _openSince =
-        std::make_unique<std::atomic<Tick>[]>(_cp.nodes);
-    for (int i = 0; i < _cp.nodes; ++i)
-        _openSince[i].store(kTickMax, std::memory_order_relaxed);
     for (int i = 0; i < _cp.nodes; ++i) {
         Node& n = _nodes[i];
         n.cpuCache = std::make_unique<CacheModel>(
@@ -182,14 +178,13 @@ TyphoonMemSystem::oldestPendingSince() const
     // Handler activations and queued messages are excluded — they only
     // matter if they fail to eventually resume a suspended thread, and
     // that failure is exactly what the suspended/baf ages capture.
-    // Wait-free scan over the per-node relaxed-atomic snapshots (kept
-    // current by noteOpenSince at every suspend/resume/BAF mutation),
-    // so the probe never dereferences Node state that another engine
-    // lane could be mutating.
     Tick oldest = kTickMax;
-    for (int i = 0; i < _cp.nodes; ++i)
-        oldest = std::min(
-            oldest, _openSince[i].load(std::memory_order_relaxed));
+    for (const Node& n : _nodes) {
+        if (n.suspended)
+            oldest = std::min(oldest, n.suspended->issueTime);
+        if (n.baf)
+            oldest = std::min(oldest, n.baf->postedAt);
+    }
     return oldest;
 }
 
@@ -258,7 +253,6 @@ TyphoonMemSystem::canonicalize(std::uint64_t epochSeed)
         n.tags.resize(_setupTags[static_cast<std::size_t>(i)]);
         n.phys->canonicalizeAllocator(
             _setupPpn[static_cast<std::size_t>(i)]);
-        noteOpenSince(i);
     }
 }
 
@@ -467,13 +461,11 @@ TyphoonMemSystem::access(MemRequest* req)
       case PipeResult::Kind::PageFault:
         tt_assert(!n.suspended, "second fault while suspended at ", id);
         n.suspended = req;
-        noteOpenSince(id);
         deliverPageFault(id, req, req->issueTime + pr.cost);
         return {false, 0};
       case PipeResult::Kind::BlockFault:
         tt_assert(!n.suspended, "second fault while suspended at ", id);
         n.suspended = req;
-        noteOpenSince(id);
         postBaf(id, pr.fault, req->issueTime + pr.cost + _p.bafDetectCost);
         return {false, 0};
     }
@@ -513,7 +505,6 @@ TyphoonMemSystem::postBaf(NodeId id, const BlockFault& f, Tick when)
         Node& n = _nodes[id];
         tt_assert(!n.baf, "BAF buffer overflow at node ", id);
         n.baf = Baf{f, _m.eq().now()};
-        noteOpenSince(id);
         if (_obs)
             _obs->blockFault(id, f.va, f.op == MemOp::Write,
                              static_cast<std::uint8_t>(f.tag),
@@ -534,7 +525,6 @@ TyphoonMemSystem::retryAccess(NodeId id, Tick when)
         switch (pr.kind) {
           case PipeResult::Kind::Done: {
             n.suspended = nullptr;
-            noteOpenSince(id);
             if (_checker)
                 _checker->onAccess(id, req->vaddr, req->size,
                                    req->op == MemOp::Write, req->buf);
@@ -646,7 +636,6 @@ TyphoonMemSystem::npPump(NodeId id, Tick when)
     } else if (n.baf) {
         baf = std::move(n.baf);
         n.baf.reset();
-        noteOpenSince(id);
     } else if (!n.reqQ.empty()) {
         msg = std::move(n.reqQ.front());
         n.reqQ.pop_front();

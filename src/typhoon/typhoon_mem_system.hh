@@ -24,7 +24,6 @@
 
 #include <algorithm>
 #include <array>
-#include <atomic>
 #include <deque>
 #include <memory>
 #include <optional>
@@ -333,29 +332,6 @@ class TyphoonMemSystem : public MemorySystem
      */
     std::vector<std::uint64_t> _setupPpn;
     std::vector<std::size_t> _setupTags;
-
-    /**
-     * Per-node open-operation snapshot for the watchdog probe:
-     * min(suspended->issueTime, baf->postedAt), kTickMax when idle.
-     * Maintained O(1) at the suspend/resume/BAF mutation sites so
-     * oldestPendingSince() is a wait-free relaxed-atomic scan that
-     * never chases the Node pointers (safe under the parallel
-     * engine — DESIGN.md §12).
-     */
-    std::unique_ptr<std::atomic<Tick>[]> _openSince;
-
-    /** Recompute node @p id's _openSince cell (after any mutation). */
-    void
-    noteOpenSince(NodeId id)
-    {
-        const Node& n = _nodes[id];
-        Tick t = kTickMax;
-        if (n.suspended)
-            t = std::min(t, n.suspended->issueTime);
-        if (n.baf)
-            t = std::min(t, n.baf->postedAt);
-        _openSince[id].store(t, std::memory_order_relaxed);
-    }
 
     // Hot-path stat handles, resolved once at construction (StatSet
     // hands out stable references).

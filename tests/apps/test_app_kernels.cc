@@ -10,7 +10,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <set>
+#include <type_traits>
 
 #include "apps/workloads.hh"
 #include "config/builders.hh"
@@ -25,11 +27,15 @@ namespace
 // Partitioning helpers
 // --------------------------------------------------------------------
 
+// gtest names each case by dumping the parameter's bytes, so RangeCase
+// must have no padding: padding bytes are uninitialised and would put
+// stack garbage into the test names, changing them from run to run.
 struct RangeCase
 {
     std::size_t count;
-    int nproc;
+    std::int64_t nproc;
 };
+static_assert(std::has_unique_object_representations_v<RangeCase>);
 
 class BlockRangeProperty : public ::testing::TestWithParam<RangeCase>
 {

@@ -1,80 +1,17 @@
 /**
  * @file
  * Composition of --check with the rest of the configuration surface:
- * the sanitizer forces the serial engine when --threads=N asks for
- * the parallel one (with identical simulated results), and the
- * checker-mode knob reaches the constructed ProtocolChecker.
+ * the checker-mode knob reaches the constructed ProtocolChecker.
  */
 
 #include <gtest/gtest.h>
 
 #include "config/builders.hh"
-#include "tests/helpers.hh"
 
 namespace tt
 {
 namespace
 {
-
-Task<void>
-pingPong(Cpu& cpu, Addr a)
-{
-    co_await cpu.write<int>(a + cpu.id() * 64, cpu.id());
-    int v = co_await cpu.read<int>(a + cpu.id() * 64);
-    EXPECT_EQ(v, cpu.id());
-}
-
-TEST(CheckCompose, CheckForcesTheSerialEngine)
-{
-    MachineConfig cfg;
-    cfg.core.nodes = 4;
-    cfg.core.threads = 4;
-    cfg.check.enable = true;
-    TargetMachine t = buildTyphoonStache(cfg);
-    // The parallel engine must not have been built: checked runs use
-    // the serial cross-check engine (with a logged notice).
-    EXPECT_EQ(t.machine->engine(), nullptr);
-    ASSERT_NE(t.checker, nullptr);
-
-    Addr a = t.m().memsys().shmalloc(4096, 0);
-    test::FnApp app(
-        [a](Cpu& cpu) -> Task<void> { return pingPong(cpu, a); });
-    const RunResult r = t.run(app);
-    EXPECT_GT(r.execTime, 0u);
-    t.checker->finalize();
-    EXPECT_TRUE(t.checker->violations().empty())
-        << t.checker->report();
-}
-
-TEST(CheckCompose, SerialResultsMatchTheForcedSerialRun)
-{
-    // threads=4 + check must give the same simulated time as a plain
-    // serial checked run (it IS a serial run).
-    RunResult r[2];
-    for (int i = 0; i < 2; ++i) {
-        MachineConfig cfg;
-        cfg.core.nodes = 4;
-        cfg.core.threads = i == 0 ? 1 : 4;
-        cfg.check.enable = true;
-        TargetMachine t = buildTyphoonStache(cfg);
-        Addr a = t.m().memsys().shmalloc(4096, 0);
-        test::FnApp app(
-            [a](Cpu& cpu) -> Task<void> { return pingPong(cpu, a); });
-        r[i] = t.run(app);
-    }
-    EXPECT_EQ(r[0].execTime, r[1].execTime);
-    EXPECT_EQ(r[0].events, r[1].events);
-}
-
-TEST(CheckCompose, ThreadsWithoutCheckStillGoParallel)
-{
-    MachineConfig cfg;
-    cfg.core.nodes = 4;
-    cfg.core.threads = 4;
-    TargetMachine t = buildTyphoonStache(cfg);
-    EXPECT_NE(t.machine->engine(), nullptr);
-    EXPECT_EQ(t.checker, nullptr);
-}
 
 TEST(CheckCompose, ModeKnobReachesTheChecker)
 {

@@ -2,14 +2,12 @@
 
 #include <gtest/gtest.h>
 
-#include <functional>
 #include <sstream>
 #include <string>
 
 #include "obs/telemetry.hh"
 #include "sim/event_queue.hh"
 #include "sim/host_timer.hh"
-#include "sim/parallel_engine.hh"
 #include "sim/stats.hh"
 
 namespace tt
@@ -162,58 +160,9 @@ TEST(Telemetry, ReportJsonShape)
           "\"engine\""}) {
         EXPECT_NE(out.find(key), std::string::npos) << key;
     }
-    // No engine attached: the lane-utilization section is absent.
-    EXPECT_EQ(out.find("\"lane_executed\""), std::string::npos);
     EXPECT_EQ(out.find("nan"), std::string::npos);
     EXPECT_GE(telem.attributedPct(), 0.0);
     EXPECT_LE(telem.attributedPct(), 100.0);
-}
-
-TEST(Telemetry, EngineSnapExportsLaneUtilization)
-{
-    // Drive real lane events through the parallel engine and check
-    // the snap pulled at runEnd: lane counts are nonzero, the
-    // per-lane breakdown sums to the total, and the report grows an
-    // engine section with the per-lane arrays.
-    StatSet stats;
-    EventQueue eq;
-    ParallelEngine eng(eq, /*lanes=*/4, /*lookahead=*/8,
-                       /*threads=*/2);
-    eng.enableTelemetry();
-    std::function<void(int, Tick)> chain = [&](int lane, Tick t) {
-        if (t >= 64)
-            return;
-        eng.scheduleLane(lane, t + 2,
-                         [&chain, lane, t] { chain(lane, t + 2); });
-    };
-    for (int lane = 0; lane < 4; ++lane)
-        eng.scheduleLane(lane, 1, [&chain, lane] { chain(lane, 1); });
-
-    Telemetry telem(stats, 4);
-    telem.setEngine(&eng);
-    telem.registerStats();
-    telem.runBegin();
-    eng.run();
-    telem.runEnd();
-
-    std::uint64_t sum = 0;
-    for (int lane = 0; lane < 4; ++lane)
-        sum += eng.laneExecutedAt(lane);
-    EXPECT_GT(sum, 0u);
-    EXPECT_EQ(sum, eng.laneExecuted());
-    EXPECT_GT(eng.windows(), 0u);
-
-    std::ostringstream oss;
-    telem.writeReport(oss);
-    const std::string out = oss.str();
-    for (const char* key :
-         {"\"engine\"", "\"threads\": 2", "\"lanes\": 4",
-          "\"lane_executed\"", "\"mailbox_hwm\"",
-          "\"worker_stall_ms\""}) {
-        EXPECT_NE(out.find(key), std::string::npos) << key;
-    }
-    telem.finalize();
-    EXPECT_EQ(stats.get("obs.telemetry.engine.lane_events"), sum);
 }
 
 TEST(Telemetry, AttributionClampedToWall)

@@ -14,8 +14,8 @@
  *     (default 0.30 — wall-clock throughput on a shared host is
  *     noisy, so the gate only catches real cliffs; see DESIGN.md
  *     §16 for the tolerance rationale);
- *   - per-case events/sec, matched by (system, app, dataset,
- *     threads), must not drop by more than the same tolerance; a
+ *   - per-case events/sec, matched by (system, app, dataset), must
+ *     not drop by more than the same tolerance; a
  *     case present only in the baseline is a failure (coverage
  *     lost), one only in the fresh run is reported informationally;
  *   - per-case simulated cycles and events are deterministic for a
@@ -60,15 +60,12 @@ strOr(const JsonValue& obj, const char* key)
     return v && v->isString() ? v->str : std::string();
 }
 
-/** (system, app, dataset, threads) identity of one bench case. */
+/** (system, app, dataset) identity of one bench case. */
 std::string
 caseKey(const JsonValue& c)
 {
-    std::ostringstream os;
-    os << strOr(c, "system") << '/' << strOr(c, "app") << '/'
-       << strOr(c, "dataset") << "/t"
-       << static_cast<long long>(numOr(&c, "threads", 1));
-    return os.str();
+    return strOr(c, "system") + '/' + strOr(c, "app") + '/' +
+           strOr(c, "dataset");
 }
 
 double

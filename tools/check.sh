@@ -37,17 +37,13 @@
 #      golden pins the per-pattern latency breakdown to
 #      producer-consumer; a faulted txn trace must pass trace_lint
 #      with every retransmit tied to a transaction flow.
-#   8. A TSan (RelWithDebInfo, TT_SANITIZE=thread) build of the
-#      parallel engine's tests plus a small --threads=4 grid: every
-#      protocol runs under ThreadSanitizer with the sharded engine
-#      attached (DESIGN.md §12).
-#   9. A crash-recovery + checkpoint/restart smoke (DESIGN.md §15):
+#   8. A crash-recovery + checkpoint/restart smoke (DESIGN.md §15):
 #      every protocol survives a mid-run crash-stop node failure with
 #      the sanitizer on and reproduces the crash-free checksum; a
 #      checkpointing run and its restored continuation must produce
 #      byte-identical stats JSON per protocol; and a sharded crash
 #      campaign's shard union must equal the unsharded report.
-#   10. A --telemetry smoke grid (DESIGN.md §16): every protocol
+#   9. A --telemetry smoke grid (DESIGN.md §16): every protocol
 #      reports per-subsystem memory + host-time attribution,
 #      stats_lint validates the reports, and telemetry-off runs are
 #      byte-identical to telemetry-on (zero probe effect); then the
@@ -55,18 +51,16 @@
 #      against itself, a synthetically slowed copy fails, and a fresh
 #      reduced-grid measurement stays within tolerance.
 #
-# Usage: tools/check.sh [--skip-asan] [--skip-tidy] [--skip-tsan]
+# Usage: tools/check.sh [--skip-asan] [--skip-tidy]
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 SKIP_ASAN=0
 SKIP_TIDY=0
-SKIP_TSAN=0
 for arg in "$@"; do
     case "$arg" in
         --skip-asan) SKIP_ASAN=1 ;;
         --skip-tidy) SKIP_TIDY=1 ;;
-        --skip-tsan) SKIP_TSAN=1 ;;
         *) echo "unknown option: $arg" >&2; exit 2 ;;
     esac
 done
@@ -78,7 +72,7 @@ step() { printf '\n=== %s ===\n' "$*"; }
 # Fail fast, with a message naming the fix, when a build directory was
 # last configured with cache settings that contradict the preset about
 # to use it. CMake reuses an existing cache as-is, so a mismatched
-# tree (say build/ configured by hand with TT_SANITIZE=thread) would
+# tree (say build/ configured by hand with TT_SANITIZE=ON) would
 # otherwise "pass" the wrong gate or die in confusing link errors.
 # An absent entry is fine — the upcoming configure will set it.
 expect_cache() { # expect_cache <dir> <var> <want>
@@ -282,30 +276,7 @@ grep -qE "transactions: .* [1-9][0-9]* retransmit-affected" \
 "$TRACE_LINT" "$TRACEDIR/txn.faults.json"
 echo "--- transaction tracer: all four systems, golden + faults OK"
 
-# --- 8. ThreadSanitizer: parallel engine ------------------------------------
-if [ "$SKIP_TSAN" = 0 ]; then
-    step "ThreadSanitizer: parallel engine (--threads=4)"
-    expect_cache build-tsan CMAKE_BUILD_TYPE RelWithDebInfo
-    expect_cache build-tsan TT_SANITIZE thread
-    cmake --preset tsan >/dev/null
-    cmake --build --preset tsan -j "$JOBS" \
-        --target ttsim test_sim test_config
-    export TSAN_OPTIONS=halt_on_error=1
-    build-tsan/tests/test_sim \
-        --gtest_filter='Spsc*:ParallelEngine*'
-    build-tsan/tests/test_config \
-        --gtest_filter='ThreadsIdentity.ActorWorkload*'
-    for sys in dirnnb stache migratory update; do
-        echo "--- $sys/em3d --threads=4 (tsan)"
-        build-tsan/tools/ttsim --system="$sys" --app=em3d \
-            --dataset=tiny --nodes=8 --threads=4 >/dev/null
-    done
-    unset TSAN_OPTIONS
-else
-    step "TSan gate skipped (--skip-tsan)"
-fi
-
-# --- 9. Crash recovery + checkpoint/restart ---------------------------------
+# --- 8. Crash recovery + checkpoint/restart ---------------------------------
 step "crash recovery: crash@ --check smoke grid"
 for sys in dirnnb stache migratory update; do
     echo "--- $sys/em3d crash@30000:3 --check"
@@ -366,7 +337,7 @@ assert rec["crashes_injected"] == 4 and rec["crashes_survived"] == 4, rec
 EOF
 echo "--- shard union equals unsharded; 4/4 crashes survived"
 
-# --- 10. Self-telemetry + perf-regression gate ------------------------------
+# --- 9. Self-telemetry + perf-regression gate -------------------------------
 step "telemetry: --telemetry smoke grid"
 STATS_LINT=build/tools/stats_lint
 for sys in dirnnb stache migratory update; do
@@ -389,22 +360,7 @@ for sys in dirnnb stache migratory update; do
         "$TRACEDIR/$sys.notelem.txt" > "$TRACEDIR/$sys.notelem.key"
     diff "$TRACEDIR/$sys.telem.key" "$TRACEDIR/$sys.notelem.key"
 done
-# Telemetry composes with the parallel engine: the report gains the
-# per-lane utilization section, and its counters are consistent.
-"$TTSIM" --system=stache --app=em3d --dataset=tiny --nodes=8 \
-    --scale=4 --threads=4 \
-    --telemetry="$TRACEDIR/threads.telem.json" >/dev/null
-"$STATS_LINT" --telemetry "$TRACEDIR/threads.telem.json"
-python3 - "$TRACEDIR/threads.telem.json" <<'EOF'
-import json, sys
-rep = json.load(open(sys.argv[1]))
-assert "engine" in rep, "no engine section under --threads"
-assert rep["engine"]["threads"] == 4, rep["engine"]
-assert sum(rep["engine"]["lane_executed"]) == rep["engine"]["lane_events"]
-assert rep["host"]["attributed_pct"] is None or \
-    0 <= rep["host"]["attributed_pct"] <= 100.5
-EOF
-echo "--- telemetry: four systems clean, no probe effect, engine section OK"
+echo "--- telemetry: four systems clean, no probe effect"
 
 step "perf gate: bench_diff"
 BENCH_DIFF=build/tools/bench_diff
@@ -447,8 +403,7 @@ EOF
 # that produces BENCH_simcore.json; this short reduced run measures
 # overhead over tiny wall intervals on a loaded CI host, so it gets
 # the same loosening as the bench_diff tolerances below.
-TT_APPS=em3d TT_FOOTPRINT_NODES=32 TT_THREADS=2 \
-    TT_TELEMETRY_BOUND=1.5 \
+TT_APPS=em3d TT_FOOTPRINT_NODES=32 TT_TELEMETRY_BOUND=1.5 \
     TT_BENCH_JSON="$TRACEDIR/bench.fresh.json" \
     build/bench/bench_simcore > "$TRACEDIR/bench.fresh.txt"
 "$BENCH_DIFF" "$TRACEDIR/bench.baseline.reduced.json" \

@@ -31,10 +31,7 @@
  *     attributed_pct and a categories_ms object holding exactly
  *     dispatch/handler/net/checker/transport/engine, every value a
  *     non-negative number or null; attributed_pct <= 100.5 (the
- *     extrapolation is clamped to the measured wall time);
- *   - an "engine" section, when present, has lane_executed sized to
- *     "lanes", mailbox_hwm and worker_stall_ms sized to "threads",
- *     and lane_events equal to the sum of lane_executed.
+ *     extrapolation is clamped to the measured wall time).
  *
  * Exit status: 0 = all files clean, 1 = lint errors, 2 = usage/IO.
  */
@@ -278,58 +275,12 @@ lintTelemetry(const char* path, const JsonValue& root)
         }
     }
 
-    const JsonValue* eng = root.find("engine");
-    if (eng) {
-        if (!eng->isObject()) {
-            lint.fail("engine", "not an object");
-        } else {
-            for (const char* key :
-                 {"threads", "lanes", "windows", "serial_windows",
-                  "lane_events", "global_events"}) {
-                const JsonValue* v = eng->find(key);
-                if (!v || !isCount(*v))
-                    lint.fail("engine", std::string("\"") + key +
-                                            "\" is not a "
-                                            "non-negative integer");
-            }
-            const JsonValue* lanes = eng->find("lanes");
-            const JsonValue* threads = eng->find("threads");
-            const JsonValue* laneExec = eng->find("lane_executed");
-            if (!laneExec || !laneExec->isArray() ||
-                (lanes && lanes->isNumber() &&
-                 laneExec->items.size() !=
-                     static_cast<std::size_t>(lanes->number))) {
-                lint.fail("engine", "lane_executed is not an array "
-                                    "sized to \"lanes\"");
-            } else if (const JsonValue* le = eng->find("lane_events")) {
-                double sum = 0;
-                for (const JsonValue& v : laneExec->items)
-                    sum += v.isNumber() ? v.number : 0;
-                if (le->isNumber() && sum != le->number)
-                    lint.fail("engine", "lane_events does not equal "
-                                        "the sum of lane_executed");
-            }
-            for (const char* key : {"mailbox_hwm", "worker_stall_ms"}) {
-                const JsonValue* v = eng->find(key);
-                if (!v || !v->isArray() ||
-                    (threads && threads->isNumber() &&
-                     v->items.size() !=
-                         static_cast<std::size_t>(threads->number)))
-                    lint.fail("engine",
-                              std::string("\"") + key +
-                                  "\" is not an array sized to "
-                                  "\"threads\"");
-            }
-        }
-    }
-
     if (lint.errors) {
         std::fprintf(stderr, "%s: %d lint error(s)\n", path,
                      lint.errors);
         return 1;
     }
-    std::printf("%s: ok (telemetry%s)\n", path,
-                eng ? ", engine section" : "");
+    std::printf("%s: ok (telemetry)\n", path);
     return 0;
 }
 

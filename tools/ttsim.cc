@@ -47,7 +47,6 @@ struct Options
     int scale = 1;
     int netLatency = 11;
     int quantum = 32;
-    int threads = 1; ///< parallel-engine workers (1 = serial engine)
     double remotePct = 20;
     std::uint64_t seed = 0;
     std::string benchJson; ///< write a wall-clock JSON report here
@@ -106,10 +105,6 @@ usage()
         "  --scale=N         divide problem size by N (default 1)\n"
         "  --net-latency=N   network latency cycles (default 11)\n"
         "  --quantum=N       local-time window (default 32)\n"
-        "  --threads=N       parallel-engine workers (default 1 ="
-        " serial\n"
-        "                    cross-check engine; results byte-identical"
-        " for any N)\n"
         "  --remote=PCT      EM3D remote-edge percent (default 20)\n"
         "  --seed=N          machine RNG seed\n"
         "  --bench-json=F    write a wall-clock benchmark report"
@@ -133,12 +128,11 @@ usage()
         " --faults\n"
         "  --telemetry[=F]   simulator self-telemetry: per-subsystem"
         " memory\n"
-        "                    accounting, host-time attribution, lane"
-        " utilization\n"
-        "                    (JSON to F); simulated results are"
-        " byte-identical\n"
-        "                    with or without it, and it composes with"
-        " --threads\n"
+        "                    accounting and host-time attribution"
+        " (JSON to F);\n"
+        "                    simulated results are byte-identical"
+        " with or\n"
+        "                    without it\n"
         "  --fault=NAME      inject a protocol bug (skip-invalidate |"
         " skip-downgrade)\n"
         "  --check[=MODE]    run the coherence sanitizer (exit 3 on"
@@ -174,8 +168,7 @@ usage()
         "  --systems=A,B     campaign targets (default all four)\n"
         "  --checkpoint=E[,F]  write a checkpoint at barrier epoch E"
         " (default\n"
-        "                    file ttsim.ckpt); fault-free serial runs"
-        " only\n"
+        "                    file ttsim.ckpt); fault-free runs only\n"
         "  --restore=F       continue a run from checkpoint F; the"
         " continuation\n"
         "                    is byte-identical to the checkpointing"
@@ -255,8 +248,6 @@ parseArg(Options& o, const std::string& arg)
         o.jitterSet = true;
     } else if (eat("--faults=", &v)) {
         o.faults = v;
-    } else if (eat("--threads=", &v)) {
-        o.threads = std::atoi(v.c_str());
     } else if (eat("--horizon=", &v)) {
         o.horizon = std::strtoull(v.c_str(), nullptr, 0);
     } else if (eat("--rto=", &v)) {
@@ -333,8 +324,6 @@ validateOptions(const Options& o)
         std::fprintf(stderr, "ttsim: %s\n", msg);
         std::exit(2);
     };
-    if (o.threads < 1 || o.threads > 256)
-        die("--threads must be between 1 and 256");
     if (o.checkMode != "fast" && o.checkMode != "paranoid")
         die("--check accepts mode 'fast' or 'paranoid'");
     if (o.faults.empty()) {
@@ -467,10 +456,8 @@ configKey(const Options& o)
     return k;
 }
 
-} // namespace
-
 int
-main(int argc, char** argv)
+run(int argc, char** argv)
 {
     Options o;
     for (int i = 1; i < argc; ++i) {
@@ -502,7 +489,6 @@ main(int argc, char** argv)
     cfg.core.blockSize = o.blockSize;
     cfg.core.quantum = o.quantum;
     cfg.net.latency = o.netLatency;
-    cfg.core.threads = o.threads;
     if (o.seed)
         cfg.core.seed = o.seed;
 
@@ -868,7 +854,6 @@ main(int argc, char** argv)
         BenchCase c;
         c.system = o.system;
         c.app = app->name();
-        c.threads = o.threads;
         c.dataset = o.dataset;
         c.cycles = r.execTime;
         c.events = r.events;
@@ -884,4 +869,18 @@ main(int argc, char** argv)
                     o.benchJson.c_str(), rep.eventsPerSec());
     }
     return checkFailed ? 3 : 0;
+}
+
+} // namespace
+
+int
+main(int argc, char** argv)
+{
+    // tt_fatal has already printed its "fatal:" line; a user error
+    // exits 2 (README exit-code table) instead of aborting.
+    try {
+        return run(argc, argv);
+    } catch (const FatalError&) {
+        return 2;
+    }
 }
