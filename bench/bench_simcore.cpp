@@ -109,7 +109,7 @@ main()
     }
 
     // The same grid again with the flight recorder attached (rings +
-    // miss-latency profiler + trace stream to a scratch file): the
+    // trace stream to a scratch file, no counter sampler): the
     // --trace overhead. Again, simulated results must be bit-identical
     // to the trace-off pass.
     std::printf("\ntrace-on pass:\n");

@@ -5,7 +5,8 @@
  * NP executes only 14 instructions to request a missing block, 30
  * instructions for the remote node to respond with the data, and 20
  * instructions when the data arrives"), measured on real Stache
- * handler activations. Google-benchmark micro-benchmarks of the host
+ * handler activations (the HandlerDone records of the flight
+ * recorder). Google-benchmark micro-benchmarks of the host
  * simulator's tag-operation throughput follow.
  */
 
@@ -81,48 +82,16 @@ printTable1()
 void
 printMissPathAudit()
 {
-    TyphoonParams tp;
-    tp.perHandlerStats = true;
-    test::StacheRig rig(2, CoreParams{}, tp);
-    Addr a = rig.stache->shmalloc(256 * 4096, 0);
-
-    // Warm-up: map the pages and warm the NP TLBs / D-cache (the
-    // paper's instruction counts are warm fast-path numbers), then
-    // measure a fresh stream of block faults on the warm pages.
-    test::FnApp warm([&](Cpu& cpu) -> Task<void> {
-        if (cpu.id() != 1)
-            co_return;
-        for (int i = 0; i < 8; ++i)
-            co_await cpu.read<int>(a + i * 4096);
-    });
-    rig.machine->run(warm);
-    rig.machine->stats().reset();
-
-    test::FnApp app([&](Cpu& cpu) -> Task<void> {
-        if (cpu.id() != 1)
-            co_return;
-        for (int blk = 1; blk < 64; ++blk)
-            for (int i = 0; i < 8; ++i)
-                co_await cpu.read<int>(a + i * 4096 + blk * 32);
-    });
-    rig.machine->run(app);
-
-    auto& st = rig.machine->stats();
+    const test::MissPathAudit audit = test::runMissPathAudit();
     std::printf("\nMiss-path NP instruction audit (paper section 6: "
                 "14 request / 30 respond / 20 arrival)\n\n");
     std::printf("  %-34s %6.1f cycles (paper: 14 instructions)\n",
-                "request handler (BAF -> GetRO)",
-                st.average("np.handler.baf").mean());
+                "request handler (BAF -> GetRO)", audit.baf.mean());
     std::printf("  %-34s %6.1f cycles (paper: 30 instructions)\n",
-                "home handler (GetRO -> DataRO)",
-                st.average("np.handler." +
-                           std::to_string(Stache::kGetRO))
-                    .mean());
+                "home handler (GetRO -> DataRO)", audit.getRO.mean());
     std::printf("  %-34s %6.1f cycles (paper: 20 instructions)\n",
                 "arrival handler (DataRO -> resume)",
-                st.average("np.handler." +
-                           std::to_string(Stache::kDataRO))
-                    .mean());
+                audit.dataRO.mean());
 }
 
 // ---- host-simulator micro-benchmarks --------------------------------

@@ -71,8 +71,8 @@ struct BenchReport
 
     /**
      * Flight-recorder overhead: the same grid re-run with a recorder
-     * attached (ring + profiler + trace stream). Same "0 = not
-     * measured" convention as the checker entry.
+     * attached (rings + trace stream). Same "0 = not measured"
+     * convention as the checker entry.
      */
     double traceOnWallMs = 0;
     std::uint64_t traceOnEvents = 0;

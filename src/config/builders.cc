@@ -38,8 +38,9 @@ attachCheckerTyphoon(TargetMachine& t, const CheckConfig& cc)
 /**
  * Attach a FlightRecorder to an assembled target. Rings are kept
  * whenever the recorder exists (that is the crash flight recorder,
- * wanted under --check even without --trace); the exporter, profiler,
- * and sampler are each opt-in via ObsConfig.
+ * wanted under --check even without --trace); the exporter, sampler,
+ * sharing analyzer and transaction tracer are each opt-in via
+ * ObsConfig.
  */
 void
 attachObserver(TargetMachine& t, const MachineConfig& cfg)
@@ -63,8 +64,6 @@ attachObserver(TargetMachine& t, const MachineConfig& cfg)
         t.protocol->describeHandlers(*t.obs);
     if (!oc.traceFile.empty())
         t.obs->openTrace(oc.traceFile);
-    if (oc.enable && oc.profile)
-        t.obs->enableProfiler(t.machine->stats());
     if (oc.samplePeriod > 0)
         t.obs->enableSampler(t.machine->stats(), oc.samplePeriod);
     if (oc.analyze || oc.txn) {

@@ -51,7 +51,7 @@ struct CheckConfig
 
 /**
  * Flight-recorder configuration (ttsim --trace / DESIGN.md §9).
- * A recorder is attached when tracing or profiling is requested, and
+ * A recorder is attached when tracing or analysis is requested, and
  * also whenever the sanitizer is on (so checker violations and panics
  * come with the crash-ring tail); everything else is opt-in.
  */
@@ -61,7 +61,6 @@ struct ObsConfig
     std::size_t ringCapacity = 256; ///< crash-ring records per node
     std::string traceFile;      ///< Perfetto JSON path ("" = no trace)
     Tick samplePeriod = 0;      ///< counter-snapshot period (0 = off)
-    bool profile = true;        ///< fold miss-latency histograms
     bool analyze = false;       ///< fold the online sharing analyzer
     /// fold the coherence-transaction tracer (--trace-critical,
     /// DESIGN.md §14); implies the sharing analyzer, whose per-block

@@ -4,8 +4,8 @@
  * event, stamped with sim-time. Records are produced by the
  * instrumented subsystems (Network, TyphoonMemSystem, DirMemSystem)
  * through FlightRecorder's inline record methods and consumed by the
- * per-node crash rings, the Perfetto exporter, and the latency
- * profiler (DESIGN.md §9).
+ * per-node crash rings, the Perfetto exporter, the sharing analyzer
+ * and the transaction tracer (DESIGN.md §9).
  *
  * This header is deliberately dependency-light (sim/types.hh only) so
  * that src/net can include the recorder without acquiring protocol

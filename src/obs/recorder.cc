@@ -3,7 +3,6 @@
 #include <iomanip>
 
 #include "obs/perfetto.hh"
-#include "obs/profiler.hh"
 #include "obs/sharing.hh"
 #include "obs/txn.hh"
 #include "sim/stats.hh"
@@ -93,13 +92,6 @@ FlightRecorder::openTrace(const std::string& path)
 }
 
 void
-FlightRecorder::enableProfiler(StatSet& stats)
-{
-    _profiler = std::make_unique<LatencyProfiler>(stats, nodes());
-    _haveConsumers = true;
-}
-
-void
 FlightRecorder::enableSharing(std::uint32_t block_size,
                               std::uint32_t page_size)
 {
@@ -176,8 +168,6 @@ FlightRecorder::consume(const TraceRecord& r)
     }
     if (_writer)
         _writer->write(r, *this);
-    if (_profiler)
-        _profiler->fold(r);
     if (_sharing)
         _sharing->fold(r);
     if (_txn)
@@ -191,11 +181,6 @@ FlightRecorder::sampleCounters(Tick boundary)
         return;
     for (const auto& [name, c] : _sampleStats->counters())
         _writer->counter(boundary, name, c.value());
-    // Gauges that are not StatSet counters: the number of misses open
-    // right now (a live queue-depth track in the Perfetto UI).
-    if (_profiler)
-        _writer->counter(boundary, "obs.miss.open",
-                         _profiler->openMisses());
 }
 
 void

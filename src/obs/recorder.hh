@@ -1,7 +1,7 @@
 /**
  * @file
- * FlightRecorder — the opt-in, zero-cost-when-off tracing and
- * profiling front end (DESIGN.md §9).
+ * FlightRecorder — the opt-in, zero-cost-when-off record stream of
+ * NP and miss activity (DESIGN.md §9).
  *
  * Every instrumented subsystem (Network, TyphoonMemSystem,
  * DirMemSystem) holds a `FlightRecorder* _obs = nullptr` and guards
@@ -11,16 +11,14 @@
  * the trace-off hot path stays bit-identical (bench_simcore holds the
  * regression; see BENCH_simcore.json "trace_overhead").
  *
- * An attached recorder does three things per record:
- *  - appends it to a per-node fixed-capacity ring (the crash flight
- *    recorder: the tail is dumped into tt_assert panic reports and
- *    into ProtocolChecker failure reports);
- *  - streams it to the Perfetto/Chrome-trace exporter when a trace
- *    file is open (`ttsim --trace=FILE`), including periodic stat
- *    snapshots from the interval sampler;
- *  - folds it into the latency profiler, which accounts remote-miss
- *    cost into request / network / directory-occupancy / handler
- *    components per protocol action (`obs.miss.*` statistics).
+ * An attached recorder appends each record to a per-node
+ * fixed-capacity ring (the crash flight recorder: the tail is dumped
+ * into tt_assert panic reports and into ProtocolChecker failure
+ * reports) and hands it to whichever consumers are on: the
+ * Perfetto/Chrome-trace exporter (`ttsim --trace=FILE`, with periodic
+ * counter snapshots from the interval sampler), the sharing analyzer
+ * (`--analyze`) and the transaction tracer (`--trace-critical`,
+ * which partitions each miss's latency exactly).
  */
 
 #ifndef TT_OBS_RECORDER_HH
@@ -41,7 +39,6 @@
 namespace tt
 {
 
-class LatencyProfiler;
 class PerfettoWriter;
 class SharingAnalyzer;
 class StatSet;
@@ -71,14 +68,10 @@ class FlightRecorder
      */
     void openTrace(const std::string& path);
 
-    /** Fold records into per-action miss-latency histograms. */
-    void enableProfiler(StatSet& stats);
-
     /**
      * Emit a snapshot of every counter in @p stats into the trace as
      * Perfetto counter tracks whenever sim-time crosses a multiple of
-     * @p period ticks, plus the obs.miss.open gauge (profiler open
-     * misses). No-op unless a trace file is open.
+     * @p period ticks. No-op unless a trace file is open.
      */
     void enableSampler(StatSet& stats, Tick period);
 
@@ -396,8 +389,8 @@ class FlightRecorder
     // --- end of run / failure reporting -------------------------------
 
     /**
-     * Close the trace file and write the profiler's aggregate
-     * counters. Idempotent; call after Machine::run().
+     * Finish the transaction tracer (its obs.txn.* counters) and
+     * close the trace file. Idempotent; call after Machine::run().
      */
     void finalize();
 
@@ -424,7 +417,6 @@ class FlightRecorder
 
     std::uint32_t lastMsgId() const { return _lastMsgId; }
 
-    LatencyProfiler* profiler() { return _profiler.get(); }
     SharingAnalyzer* sharing() { return _sharing.get(); }
     TxnTracer* txn() { return _txn.get(); }
 
@@ -471,7 +463,7 @@ class FlightRecorder
         ring.next = (ring.next + 1) % ring.buf.size();
         ++ring.total;
         if (_haveConsumers)
-            consume(r); // out of line: exporter / profiler / sampler
+            consume(r); // out of line: exporter / analyzers / sampler
     }
 
     void consume(const TraceRecord& r);
@@ -501,7 +493,6 @@ class FlightRecorder
     bool _crashHooked = false;
 
     std::unique_ptr<PerfettoWriter> _writer;
-    std::unique_ptr<LatencyProfiler> _profiler;
     std::unique_ptr<SharingAnalyzer> _sharing;
     std::unique_ptr<TxnTracer> _txn;
 

@@ -46,35 +46,17 @@ void
 captureStats(const StatSet& stats, Snapshot& s)
 {
     s.counters.clear();
-    s.averages.clear();
-    s.histograms.clear();
     for (const auto& [name, c] : stats.counters())
         s.counters.emplace_back(name, c.value());
-    for (const auto& [name, a] : stats.averages())
-        s.averages.emplace_back(name, a.state());
-    for (const auto& [name, h] : stats.histograms())
-        s.histograms.push_back({name, h.buckets(), h.underflow(),
-                                h.overflow(), h.summary().state()});
 }
 
 void
 restoreStats(StatSet& stats, const Snapshot& s)
 {
-    // Counters and averages are created on first use, so the restored
-    // run may not have materialized all of them yet (per-handler
-    // occupancy averages, for instance); operator[] inserts those.
+    // Counters are created on first use, so the restored run may not
+    // have materialized all of them yet; operator[] inserts those.
     for (const auto& [name, v] : s.counters)
         stats.mutableCounters()[name].set(v);
-    for (const auto& [name, st] : s.averages)
-        stats.mutableAverages()[name].setState(st);
-    for (const Snapshot::HistState& hs : s.histograms) {
-        auto it = stats.mutableHistograms().find(hs.name);
-        tt_assert(it != stats.mutableHistograms().end(),
-                  "checkpoint restores histogram '", hs.name,
-                  "' that this run never created");
-        it->second.setState(hs.buckets, hs.underflow, hs.overflow,
-                            hs.summary);
-    }
 }
 
 // --------------------------------------------------------------------
@@ -84,34 +66,12 @@ restoreStats(StatSet& stats, const Snapshot& s)
 namespace
 {
 
-constexpr char kMagic[8] = {'T', 'T', 'C', 'K', 'P', 'T', '1', '\0'};
+constexpr char kMagic[8] = {'T', 'T', 'C', 'K', 'P', 'T', '2', '\0'};
 
 void
 putU64(std::ostream& os, std::uint64_t v)
 {
     os.write(reinterpret_cast<const char*>(&v), sizeof v);
-}
-
-std::uint64_t
-getU64(std::istream& is)
-{
-    std::uint64_t v = 0;
-    is.read(reinterpret_cast<char*>(&v), sizeof v);
-    return v;
-}
-
-void
-putF64(std::ostream& os, double v)
-{
-    os.write(reinterpret_cast<const char*>(&v), sizeof v);
-}
-
-double
-getF64(std::istream& is)
-{
-    double v = 0;
-    is.read(reinterpret_cast<char*>(&v), sizeof v);
-    return v;
 }
 
 void
@@ -121,37 +81,62 @@ putStr(std::ostream& os, const std::string& s)
     os.write(s.data(), static_cast<std::streamsize>(s.size()));
 }
 
-std::string
-getStr(std::istream& is)
+/**
+ * Checkpoint input bounded by the bytes left in the file: a corrupt
+ * or truncated length prefix is a tt_fatal before anything is sized
+ * from it, never a huge allocation.
+ */
+class Reader
 {
-    std::string s(getU64(is), '\0');
-    is.read(s.data(), static_cast<std::streamsize>(s.size()));
-    return s;
-}
+  public:
+    Reader(std::istream& is, std::uint64_t size, const std::string& path)
+        : _is(is), _left(size), _path(path)
+    {
+    }
 
-void
-putAvg(std::ostream& os, const Average::State& a)
-{
-    putF64(os, a.sum);
-    putU64(os, a.count);
-    putF64(os, a.min);
-    putF64(os, a.max);
-    putF64(os, a.wmean);
-    putF64(os, a.m2);
-}
+    void
+    read(void* dst, std::uint64_t n)
+    {
+        if (n > _left)
+            tt_fatal("truncated checkpoint file '", _path, "'");
+        _is.read(static_cast<char*>(dst), static_cast<std::streamsize>(n));
+        if (!_is)
+            tt_fatal("cannot read checkpoint file '", _path, "'");
+        _left -= n;
+    }
 
-Average::State
-getAvg(std::istream& is)
-{
-    Average::State a;
-    a.sum = getF64(is);
-    a.count = getU64(is);
-    a.min = getF64(is);
-    a.max = getF64(is);
-    a.wmean = getF64(is);
-    a.m2 = getF64(is);
-    return a;
-}
+    std::uint64_t
+    u64()
+    {
+        std::uint64_t v = 0;
+        read(&v, sizeof v);
+        return v;
+    }
+
+    /** A length prefix counting elements of at least @p elemBytes. */
+    std::uint64_t
+    count(std::uint64_t elemBytes)
+    {
+        const std::uint64_t n = u64();
+        if (n > _left / elemBytes)
+            tt_fatal("corrupt checkpoint file '", _path, "': length ", n,
+                     " exceeds the ", _left, " bytes left");
+        return n;
+    }
+
+    std::string
+    str()
+    {
+        std::string s(count(1), '\0');
+        read(s.data(), s.size());
+        return s;
+    }
+
+  private:
+    std::istream& _is;
+    std::uint64_t _left;
+    const std::string& _path;
+};
 
 } // namespace
 
@@ -180,21 +165,6 @@ saveSnapshot(const Snapshot& s, const std::string& path)
         putStr(os, name);
         putU64(os, v);
     }
-    putU64(os, s.averages.size());
-    for (const auto& [name, a] : s.averages) {
-        putStr(os, name);
-        putAvg(os, a);
-    }
-    putU64(os, s.histograms.size());
-    for (const Snapshot::HistState& hs : s.histograms) {
-        putStr(os, hs.name);
-        putU64(os, hs.buckets.size());
-        for (const std::uint64_t b : hs.buckets)
-            putU64(os, b);
-        putU64(os, hs.underflow);
-        putU64(os, hs.overflow);
-        putAvg(os, hs.summary);
-    }
     if (!os)
         tt_fatal("short write to checkpoint file '", path, "'");
 }
@@ -202,50 +172,39 @@ saveSnapshot(const Snapshot& s, const std::string& path)
 Snapshot
 loadSnapshot(const std::string& path)
 {
-    std::ifstream is(path, std::ios::binary);
+    std::ifstream is(path, std::ios::binary | std::ios::ate);
     if (!is)
         tt_fatal("cannot read checkpoint file '", path, "'");
+    const std::streamoff size = is.tellg();
+    is.seekg(0);
+    if (size < 0 || !is)
+        tt_fatal("cannot read checkpoint file '", path, "'");
+    Reader in(is, static_cast<std::uint64_t>(size), path);
     char magic[sizeof kMagic] = {};
-    is.read(magic, sizeof magic);
-    if (!is || std::string(magic, sizeof magic) !=
-                   std::string(kMagic, sizeof kMagic))
-        tt_fatal("'", path, "' is not a TTCKPT1 checkpoint");
+    in.read(magic, sizeof magic);
+    if (std::string(magic, sizeof magic) !=
+        std::string(kMagic, sizeof kMagic))
+        tt_fatal("'", path, "' is not a TTCKPT2 checkpoint");
     Snapshot s;
-    s.fingerprint = getU64(is);
-    s.episodes = getU64(is);
-    s.tick = getU64(is);
-    s.order.resize(getU64(is));
+    s.fingerprint = in.u64();
+    s.episodes = in.u64();
+    s.tick = in.u64();
+    s.order.resize(in.count(sizeof(std::uint64_t)));
     for (int& id : s.order)
-        id = static_cast<int>(getU64(is));
-    s.mem.resize(getU64(is));
+        id = static_cast<int>(in.u64());
+    // A range is at least its va and its length prefix; a counter at
+    // least its name's length prefix and its value.
+    s.mem.resize(in.count(2 * sizeof(std::uint64_t)));
     for (Snapshot::MemRange& mr : s.mem) {
-        mr.va = getU64(is);
-        mr.bytes.resize(getU64(is));
-        is.read(reinterpret_cast<char*>(mr.bytes.data()),
-                static_cast<std::streamsize>(mr.bytes.size()));
+        mr.va = in.u64();
+        mr.bytes.resize(in.count(1));
+        in.read(mr.bytes.data(), mr.bytes.size());
     }
-    s.counters.resize(getU64(is));
+    s.counters.resize(in.count(2 * sizeof(std::uint64_t)));
     for (auto& [name, v] : s.counters) {
-        name = getStr(is);
-        v = getU64(is);
+        name = in.str();
+        v = in.u64();
     }
-    s.averages.resize(getU64(is));
-    for (auto& [name, a] : s.averages) {
-        name = getStr(is);
-        a = getAvg(is);
-    }
-    s.histograms.resize(getU64(is));
-    for (Snapshot::HistState& hs : s.histograms) {
-        hs.name = getStr(is);
-        hs.buckets.resize(getU64(is));
-        for (std::uint64_t& b : hs.buckets)
-            b = getU64(is);
-        hs.underflow = getU64(is);
-        hs.overflow = getU64(is);
-        hs.summary = getAvg(is);
-    }
-    if (!is)
-        tt_fatal("truncated checkpoint file '", path, "'");
     return s;
 }
 

@@ -51,16 +51,6 @@ struct Snapshot
     // Statistics (file checkpoints only; in-memory crash-recovery
     // snapshots leave these empty — rolled-back work stays counted).
     std::vector<std::pair<std::string, std::uint64_t>> counters;
-    std::vector<std::pair<std::string, Average::State>> averages;
-    struct HistState
-    {
-        std::string name;
-        std::vector<std::uint64_t> buckets;
-        std::uint64_t underflow = 0;
-        std::uint64_t overflow = 0;
-        Average::State summary;
-    };
-    std::vector<HistState> histograms;
 };
 
 /** FNV-1a over a config-identity string. */
@@ -78,11 +68,13 @@ void captureMem(MemorySystem& ms, Snapshot& s, bool coherent);
 void pokeMem(MemorySystem& ms, const Snapshot& s);
 
 void captureStats(const StatSet& stats, Snapshot& s);
-/** Restore by name; creates counters/averages, histograms must
- *  already exist (they are all construction-time). */
+/** Restore counters by name, creating any this run has not yet. */
 void restoreStats(StatSet& stats, const Snapshot& s);
 
-/** Binary file format "TTCKPT1"; tt_fatal on IO or format errors. */
+/**
+ * Binary file format "TTCKPT2"; tt_fatal on IO or format errors,
+ * including a length prefix larger than the bytes left in the file.
+ */
 void saveSnapshot(const Snapshot& s, const std::string& path);
 Snapshot loadSnapshot(const std::string& path);
 

@@ -1,6 +1,5 @@
 #include "sim/stats.hh"
 
-#include <cstdio>
 #include <fstream>
 #include <iomanip>
 
@@ -12,17 +11,6 @@ StatSet::dump(std::ostream& os) const
 {
     for (const auto& [name, c] : _counters)
         os << std::left << std::setw(48) << name << c.value() << "\n";
-    for (const auto& [name, a] : _averages) {
-        os << std::left << std::setw(48) << name << "mean=" << a.mean()
-           << " n=" << a.count() << " min=" << a.min()
-           << " max=" << a.max() << "\n";
-    }
-    for (const auto& [name, h] : _histograms) {
-        os << std::left << std::setw(48) << name
-           << "mean=" << h.summary().mean()
-           << " n=" << h.summary().count()
-           << " overflow=" << h.overflow() << "\n";
-    }
 }
 
 namespace
@@ -40,38 +28,6 @@ jsonString(std::ostream& os, const std::string& s)
     os << '"';
 }
 
-void
-jsonNumber(std::ostream& os, double v)
-{
-    // JSON has no NaN/Infinity literals; "%.17g" would print "nan" or
-    // "inf" and corrupt the document. Emit null so consumers see a
-    // well-formed value they can test for.
-    if (!std::isfinite(v)) {
-        os << "null";
-        return;
-    }
-    char buf[64];
-    std::snprintf(buf, sizeof buf, "%.17g", v);
-    os << buf;
-}
-
-void
-jsonAverageBody(std::ostream& os, const Average& a)
-{
-    os << "{\"mean\": ";
-    jsonNumber(os, a.mean());
-    os << ", \"count\": " << a.count();
-    os << ", \"min\": ";
-    jsonNumber(os, a.min());
-    os << ", \"max\": ";
-    jsonNumber(os, a.max());
-    os << ", \"variance\": ";
-    jsonNumber(os, a.variance());
-    os << ", \"stddev\": ";
-    jsonNumber(os, a.stddev());
-    os << "}";
-}
-
 } // namespace
 
 void
@@ -84,32 +40,6 @@ StatSet::writeJson(std::ostream& os) const
         first = false;
         jsonString(os, name);
         os << ": " << c.value();
-    }
-    os << (first ? "}" : "\n  }") << ",\n  \"averages\": {";
-    first = true;
-    for (const auto& [name, a] : _averages) {
-        os << (first ? "\n    " : ",\n    ");
-        first = false;
-        jsonString(os, name);
-        os << ": ";
-        jsonAverageBody(os, a);
-    }
-    os << (first ? "}" : "\n  }") << ",\n  \"histograms\": {";
-    first = true;
-    for (const auto& [name, h] : _histograms) {
-        os << (first ? "\n    " : ",\n    ");
-        first = false;
-        jsonString(os, name);
-        os << ": {\"width\": ";
-        jsonNumber(os, h.width());
-        os << ", \"buckets\": [";
-        for (std::size_t i = 0; i < h.buckets().size(); ++i)
-            os << (i ? ", " : "") << h.buckets()[i];
-        os << "], \"underflow\": " << h.underflow();
-        os << ", \"overflow\": " << h.overflow();
-        os << ", \"summary\": ";
-        jsonAverageBody(os, h.summary());
-        os << "}";
     }
     os << (first ? "}" : "\n  }") << "\n}\n";
 }
@@ -129,10 +59,6 @@ StatSet::reset()
 {
     for (auto& [name, c] : _counters)
         c.reset();
-    for (auto& [name, a] : _averages)
-        a.reset();
-    for (auto& [name, h] : _histograms)
-        h.reset();
 }
 
 } // namespace tt

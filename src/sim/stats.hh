@@ -1,9 +1,10 @@
 /**
  * @file
  * Lightweight named-statistics registry, in the spirit of gem5's stats
- * package. Components register scalar counters, averages, and
- * histograms under hierarchical dotted names; a StatSet can be dumped
- * as text or queried programmatically by tests and benches.
+ * package. Components register scalar counters under hierarchical
+ * dotted names; a StatSet can be dumped as text or JSON, or queried
+ * programmatically by tests and benches. Histogram is the fixed-width
+ * bucket array the sharing analyzer's heatmaps are built from.
  */
 
 #ifndef TT_SIM_STATS_HH
@@ -36,94 +37,6 @@ class Counter
     std::uint64_t _value = 0;
 };
 
-/** Running sample mean/min/max/variance over observed values. */
-class Average
-{
-  public:
-    void
-    sample(double v)
-    {
-        _sum += v;
-        ++_count;
-        if (v < _min || _count == 1)
-            _min = v;
-        if (v > _max || _count == 1)
-            _max = v;
-        // Welford update for the second moment. mean() stays _sum/_count
-        // so pre-existing consumers see bit-identical values.
-        const double d1 = v - _wmean;
-        _wmean += d1 / _count;
-        _m2 += d1 * (v - _wmean);
-    }
-
-    double mean() const { return _count ? _sum / _count : 0.0; }
-    double sum() const { return _sum; }
-    std::uint64_t count() const { return _count; }
-    double min() const { return _min; }
-    double max() const { return _max; }
-
-    /** Unbiased (n-1) sample variance; 0 with fewer than two samples. */
-    double
-    variance() const
-    {
-        return _count > 1 ? _m2 / static_cast<double>(_count - 1) : 0.0;
-    }
-
-    double stddev() const { return std::sqrt(variance()); }
-
-    void
-    reset()
-    {
-        _sum = 0;
-        _count = 0;
-        _min = 0;
-        _max = 0;
-        _wmean = 0;
-        _m2 = 0;
-    }
-
-    /**
-     * Full internal state, at native precision, for checkpointing.
-     * mean()/variance() are derived quantities; restoring anything
-     * less than (_sum, _count, _min, _max, _wmean, _m2) would break
-     * the bit-identical-continuation guarantee.
-     */
-    struct State
-    {
-        double sum = 0;
-        std::uint64_t count = 0;
-        double min = 0;
-        double max = 0;
-        double wmean = 0;
-        double m2 = 0;
-    };
-
-    State
-    state() const
-    {
-        return {_sum, _count, _min, _max, _wmean, _m2};
-    }
-
-    void
-    setState(const State& s)
-    {
-        _sum = s.sum;
-        _count = s.count;
-        _min = s.min;
-        _max = s.max;
-        _wmean = s.wmean;
-        _m2 = s.m2;
-    }
-
-  private:
-    double _sum = 0;
-    std::uint64_t _count = 0;
-    double _min = 0;
-    double _max = 0;
-    double _wmean = 0;
-    double _m2 = 0;
-};
-
 /**
  * Fixed-width linear histogram with underflow and overflow buckets.
  *
@@ -131,10 +44,9 @@ class Average
  * [i*width, (i+1)*width): a value exactly on a boundary always lands
  * in the bucket *starting* at that boundary. Negative samples go to
  * the underflow count, samples at or above buckets*width go to the
- * overflow count; both still contribute to summary(). Boundary
- * comparisons are made against i*width computed in double, so the
- * placement is deterministic even when v/width rounds across a bucket
- * edge (e.g. 0.3/0.1 == 2.999...96).
+ * overflow count. Boundary comparisons are made against i*width
+ * computed in double, so the placement is deterministic even when
+ * v/width rounds across a bucket edge (e.g. 0.3/0.1 == 2.999...96).
  */
 class Histogram
 {
@@ -150,15 +62,8 @@ class Histogram
     sample(double v)
     {
         // Non-finite samples have no bucket, and casting NaN/Inf to an
-        // index below is undefined behaviour. Count them as underflow
-        // and keep them out of the summary so mean/min/max stay
-        // meaningful (a single NaN would otherwise poison all three).
-        if (!std::isfinite(v)) {
-            ++_underflow;
-            return;
-        }
-        _avg.sample(v);
-        if (v < 0) {
+        // index below is undefined behaviour: count them as underflow.
+        if (!std::isfinite(v) || v < 0) {
             ++_underflow;
             return;
         }
@@ -180,7 +85,6 @@ class Histogram
     std::uint64_t underflow() const { return _underflow; }
     double width() const { return _width; }
     std::size_t bucketCount() const { return _buckets.size(); }
-    const Average& summary() const { return _avg; }
 
     void
     reset()
@@ -189,21 +93,6 @@ class Histogram
             b = 0;
         _overflow = 0;
         _underflow = 0;
-        _avg.reset();
-    }
-
-    /** Checkpoint restore: bucket counts + summary state. */
-    void
-    setState(const std::vector<std::uint64_t>& buckets,
-             std::uint64_t underflow, std::uint64_t overflow,
-             const Average::State& summary)
-    {
-        tt_assert(buckets.size() == _buckets.size(),
-                  "histogram restore shape mismatch");
-        _buckets = buckets;
-        _underflow = underflow;
-        _overflow = overflow;
-        _avg.setState(summary);
     }
 
   private:
@@ -211,7 +100,6 @@ class Histogram
     std::vector<std::uint64_t> _buckets;
     std::uint64_t _overflow = 0;
     std::uint64_t _underflow = 0;
-    Average _avg;
 };
 
 /**
@@ -223,20 +111,6 @@ class StatSet
 {
   public:
     Counter& counter(const std::string& name) { return _counters[name]; }
-    Average& average(const std::string& name) { return _averages[name]; }
-
-    Histogram&
-    histogram(const std::string& name, double width = 1.0,
-              std::size_t buckets = 32)
-    {
-        auto it = _histograms.find(name);
-        if (it == _histograms.end()) {
-            it = _histograms
-                     .emplace(name, Histogram(width, buckets))
-                     .first;
-        }
-        return it->second;
-    }
 
     /** Look up a counter value; 0 if never registered. */
     std::uint64_t
@@ -252,14 +126,12 @@ class StatSet
         return _counters.count(name) != 0;
     }
 
-    /** Dump everything, sorted by name, one stat per line. */
+    /** Dump every counter, sorted by name, one per line. */
     void dump(std::ostream& os) const;
 
     /**
-     * Dump everything as JSON with stable key order (the underlying
-     * maps are name-sorted): counters as integers, averages with
-     * mean/count/min/max/variance/stddev, histograms with width,
-     * bucket array, and underflow/overflow counts.
+     * Dump as JSON, `{"counters": {name: integer, ...}}`, with stable
+     * key order (the map is name-sorted).
      */
     void writeJson(std::ostream& os) const;
     bool writeJsonFile(const std::string& path) const;
@@ -268,37 +140,18 @@ class StatSet
     {
         return _counters;
     }
-    const std::map<std::string, Average>& averages() const
-    {
-        return _averages;
-    }
-    const std::map<std::string, Histogram>& histograms() const
-    {
-        return _histograms;
-    }
 
-    // Mutable views for checkpoint restore (src/recovery). Restoring
-    // matches stats by name; both sides of a restore assemble the
-    // identical machine, so the key sets agree (asserted there).
+    /** Mutable view for checkpoint restore (src/recovery), which
+     *  matches counters by name. */
     std::map<std::string, Counter>& mutableCounters()
     {
         return _counters;
-    }
-    std::map<std::string, Average>& mutableAverages()
-    {
-        return _averages;
-    }
-    std::map<std::string, Histogram>& mutableHistograms()
-    {
-        return _histograms;
     }
 
     void reset();
 
   private:
     std::map<std::string, Counter> _counters;
-    std::map<std::string, Average> _averages;
-    std::map<std::string, Histogram> _histograms;
 };
 
 } // namespace tt

@@ -49,13 +49,6 @@ struct TyphoonParams
     std::uint32_t bulkChunkBytes = 64; ///< data bytes per packet
 
     /**
-     * Record per-handler instruction averages (stats
-     * "np.handler.<id>" / "np.handler.baf"). Off by default: it adds
-     * a map lookup per handler activation.
-     */
-    bool perHandlerStats = false;
-
-    /**
      * Software fine-grain access control model (the "native" CM-5
      * Tempest of section 2, later Blizzard-S): every tag-checked
      * shared access pays this many extra CPU cycles for an inline
@@ -64,13 +57,6 @@ struct TyphoonParams
      * snooping the bus. See bench/ablation_sw_tempest.
      */
     Tick swCheckCost = 0;
-
-    /**
-     * Protocol trace: keep the last N NP events (handler
-     * activations, faults, resumes, bulk packets) in a ring buffer
-     * for debugging and sequence-asserting tests. 0 (default) = off.
-     */
-    std::size_t traceCapacity = 0;
 };
 
 } // namespace tt

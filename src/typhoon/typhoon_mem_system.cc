@@ -66,7 +66,6 @@ TyphoonMemSystem::TyphoonMemSystem(Machine& m, Network& net,
       _net(net),
       _p(params),
       _cp(m.params()),
-      _stats(m.stats()),
       _cTlbMisses(m.stats().counter("typhoon.tlb_misses")),
       _cCacheHits(m.stats().counter("typhoon.cache_hits")),
       _cRtlbMisses(m.stats().counter("typhoon.rtlb_misses")),
@@ -486,7 +485,6 @@ TyphoonMemSystem::deliverPageFault(NodeId id, MemRequest* req,
         const Tick start2 = _m.eq().now();
         NpCtx ctx(*this, id, start2);
         n.pageFaultHandler(ctx, req->vaddr, req->op);
-        traceEvent(id, TraceEvent::Kind::PageFault, 0, ctx.charged());
         if (_obs)
             _obs->handlerDone(id, ActKind::Page, 0, 0, start2,
                               ctx.charged());
@@ -555,32 +553,6 @@ TyphoonMemSystem::retryAccess(NodeId id, Tick when)
 // NP engine
 // ---------------------------------------------------------------------
 
-void
-TyphoonMemSystem::traceEvent(NodeId node, TraceEvent::Kind kind,
-                             std::uint32_t id, Tick charged)
-{
-    if (_p.traceCapacity == 0)
-        return;
-    if (_trace.size() >= _p.traceCapacity)
-        _trace.pop_front();
-    _trace.push_back(
-        TraceEvent{_m.eq().now(), node, kind, id, charged});
-}
-
-Average&
-TyphoonMemSystem::handlerAverage(bool baf, HandlerId h)
-{
-    const std::uint64_t key = baf ? ~std::uint64_t{0} : h;
-    auto it = _handlerAvg.find(key);
-    if (it == _handlerAvg.end()) {
-        Average& a = _stats.average(
-            baf ? std::string("np.handler.baf")
-                : "np.handler." + std::to_string(h));
-        it = _handlerAvg.emplace(key, &a).first;
-    }
-    return *it->second;
-}
-
 std::size_t
 TyphoonMemSystem::footprintBytes() const
 {
@@ -602,7 +574,6 @@ TyphoonMemSystem::footprintBytes() const
         b += n.msgHandlers.size() *
              (sizeof(HandlerId) + sizeof(MsgHandler));
     }
-    b += _trace.size() * sizeof(TraceEvent);
     return b;
 }
 
@@ -673,8 +644,6 @@ TyphoonMemSystem::npPump(NodeId id, Tick when)
             _obs->beginAct(id, msg.txn);
         }
         it->second(ctx, msg);
-        traceEvent(id, TraceEvent::Kind::MsgHandler, msg.handler,
-                   ctx.charged());
         if (_obs) {
             _obs->handlerDone(id, ActKind::Msg, msg.handler, msg.obsId,
                               when, ctx.charged());
@@ -689,8 +658,6 @@ TyphoonMemSystem::npPump(NodeId id, Tick when)
                   " at node ", id);
         _cNpBafHandled.inc();
         n.faultHandlers[key](ctx, baf->fault);
-        traceEvent(id, TraceEvent::Kind::FaultHandler,
-                   baf->fault.mode, ctx.charged());
         if (_obs)
             _obs->handlerDone(id, ActKind::Baf, baf->fault.mode, 0,
                               when, ctx.charged());
@@ -699,10 +666,6 @@ TyphoonMemSystem::npPump(NodeId id, Tick when)
     if (_checker)
         _checker->onEventEnd();
     _cNpInstructions.inc(ctx.charged());
-    if (_p.perHandlerStats) {
-        handlerAverage(!haveMsg, haveMsg ? msg.handler : 0)
-            .sample(static_cast<double>(ctx.charged()));
-    }
     const Tick end = when + ctx.charged();
     n.npBusy = true;
     const std::uint64_t gen = ++n.npGen;
@@ -743,8 +706,6 @@ TyphoonMemSystem::npRunBulkStep(NodeId id, Tick start)
     }
     _net.send(std::move(m), start + _p.bulkPacketCost);
     _cNpBulkPackets.inc();
-    traceEvent(id, TraceEvent::Kind::BulkPacket, chunk,
-               _p.bulkPacketCost);
     if (_obs)
         _obs->bulkPacket(id, chunk, start, _p.bulkPacketCost);
 
@@ -959,8 +920,6 @@ NpCtx::resume()
 {
     charge(static_cast<std::uint32_t>(_ms._p.resumeCost));
     _ms._cNpResumes.inc();
-    _ms.traceEvent(_node, TyphoonMemSystem::TraceEvent::Kind::Resume,
-                   0, _t);
     if (_ms._obs)
         _ms._obs->resume(_node, _start + _t);
     _ms.retryAccess(_node, _start + _t);

@@ -149,27 +149,6 @@ class TyphoonMemSystem : public MemorySystem
     AccessTag tagOf(NodeId n, Addr va) const;
     bool npIdle(NodeId n) const;
 
-    /** One protocol trace record (enabled via traceCapacity). */
-    struct TraceEvent
-    {
-        enum class Kind : std::uint8_t
-        {
-            MsgHandler,  ///< active-message handler ran; id = handler
-            FaultHandler,///< BAF handler ran; id = fault mode
-            PageFault,   ///< page-fault handler ran on the CPU
-            Resume,      ///< the suspended thread was restarted
-            BulkPacket,  ///< bulk engine injected a packet
-        };
-        Tick tick = 0;
-        NodeId node = kNoNode;
-        Kind kind = Kind::MsgHandler;
-        std::uint32_t id = 0;
-        Tick charged = 0;
-    };
-
-    /** The trace ring (oldest first). Empty unless traceCapacity>0. */
-    const std::deque<TraceEvent>& trace() const { return _trace; }
-    void clearTrace() { _trace.clear(); }
     /** True iff all NPs are idle with empty queues and no BAF. */
     bool quiescent() const override;
     const TyphoonParams& params() const { return _p; }
@@ -306,24 +285,16 @@ class TyphoonMemSystem : public MemorySystem
     AccessTag blockTag(NodeId node, PAddr pa) const;
     void setBlockTag(NodeId node, PAddr pa, AccessTag t);
 
-    void traceEvent(NodeId node, TraceEvent::Kind kind,
-                    std::uint32_t id, Tick charged);
-
-    /** Cached per-handler Average (only when perHandlerStats). */
-    Average& handlerAverage(bool baf, HandlerId h);
-
     Machine& _m;
     Network& _net;
     TyphoonParams _p;
     const CoreParams& _cp;
-    StatSet& _stats;
     ShmProtocol* _protocol = nullptr;
     CheckHooks* _checker = nullptr; ///< coherence sanitizer, opt-in
     FlightRecorder* _obs = nullptr; ///< flight recorder, opt-in
     HostTimer* _telem = nullptr;    ///< self-telemetry timer, opt-in
     std::vector<Node> _nodes;
     std::vector<std::unique_ptr<Tempest>> _tempest;
-    std::deque<TraceEvent> _trace;
 
     /**
      * Post-setup canonical extents, recorded by setupComplete(): the
@@ -350,7 +321,6 @@ class TyphoonMemSystem : public MemorySystem
     Counter& _cNpResumes;
     Counter& _cNpSends;
     Counter& _cNpBulkTransfers;
-    std::unordered_map<std::uint64_t, Average*> _handlerAvg;
 
     /** Built-in handler ids (top of the id space). */
     static constexpr HandlerId kBulkDataHandler = 0xFFFF'0001;

@@ -3,9 +3,8 @@
  * SharingAnalyzer tests (DESIGN.md §11): the per-block access-pattern
  * classifier on synthetic record streams, the false-sharing detector,
  * heatmap histogram boundary semantics, the protocol advisor, report
- * determinism (byte-identical across identical runs), zero impact of
- * analysis on simulated results, and LatencyProfiler::openMisses()
- * when an app ends mid-miss.
+ * determinism (byte-identical across identical runs), and zero impact
+ * of analysis on simulated results.
  */
 
 #include <gtest/gtest.h>
@@ -15,7 +14,6 @@
 
 #include "apps/workloads.hh"
 #include "config/builders.hh"
-#include "obs/profiler.hh"
 #include "obs/recorder.hh"
 #include "obs/sharing.hh"
 
@@ -357,45 +355,6 @@ TEST(SharingEndToEnd, AnalyzerDoesNotChangeSimulation)
     EXPECT_EQ(app.checksum(), withCk);
     withoutCk = app.checksum();
     EXPECT_EQ(withCk, withoutCk);
-}
-
-// --- LatencyProfiler::openMisses --------------------------------------
-
-TraceRecord
-missRec(NodeId node, RecKind kind, Tick tick, bool write)
-{
-    TraceRecord r;
-    r.kind = kind;
-    r.tick = tick;
-    r.node = node;
-    r.sub = write ? 1 : 0;
-    return r;
-}
-
-TEST(ObsProfiler, OpenMissesCountsUnclosedMisses)
-{
-    StatSet stats;
-    LatencyProfiler prof(stats, 4);
-    EXPECT_EQ(prof.openMisses(), 0u);
-    prof.fold(missRec(0, RecKind::MissStart, 10, false));
-    prof.fold(missRec(2, RecKind::MissStart, 12, true));
-    EXPECT_EQ(prof.openMisses(), 2u);
-    prof.fold(missRec(0, RecKind::MissEnd, 40, false));
-    EXPECT_EQ(prof.openMisses(), 1u);
-    // The app "ends" here: node 2's miss never closes and must still
-    // be visible (the obs.miss.open gauge the sampler exports).
-    EXPECT_EQ(prof.openMisses(), 1u);
-}
-
-TEST(ObsProfiler, ReFaultOnSameSuspendedAccessKeepsOneMiss)
-{
-    StatSet stats;
-    LatencyProfiler prof(stats, 2);
-    prof.fold(missRec(1, RecKind::BlockFault, 5, true));
-    prof.fold(missRec(1, RecKind::MissStart, 6, true));
-    EXPECT_EQ(prof.openMisses(), 1u);
-    prof.fold(missRec(1, RecKind::MissEnd, 30, true));
-    EXPECT_EQ(prof.openMisses(), 0u);
 }
 
 } // namespace

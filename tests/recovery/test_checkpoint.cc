@@ -4,13 +4,16 @@
  * writes a checkpoint at a barrier epoch and a fresh run restored
  * from that file must be byte-identical from the snapshot tick on —
  * same exec time, same application checksum, same stats JSON. Also
- * pins down the snapshot file format round trip and the config
- * fingerprint.
+ * pins down the snapshot file format round trip, its rejection of
+ * corrupt length prefixes and truncation, and the config fingerprint.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstring>
+#include <fstream>
+#include <iterator>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -182,6 +185,59 @@ TEST(Checkpoint, SnapshotFileRoundTripPreservesEveryField)
     EXPECT_EQ(t.mem[0].va, s.mem[0].va);
     EXPECT_EQ(t.mem[0].bytes, s.mem[0].bytes);
     EXPECT_EQ(t.counters, s.counters);
+    std::remove(file.c_str());
+}
+
+TEST(Checkpoint, CorruptLengthOrTruncatedFileIsFatal)
+{
+    Snapshot s;
+    s.order = {2, 0, 3, 1};
+    s.mem.push_back({0x10000, std::vector<std::uint8_t>(300, 7)});
+    s.counters = {{"alpha", 1}, {"beta", 2}};
+    const std::string file = ::testing::TempDir() + "ckpt_corrupt.bin";
+    saveSnapshot(s, file);
+    std::string good;
+    {
+        std::ifstream f(file, std::ios::binary);
+        good.assign(std::istreambuf_iterator<char>(f), {});
+    }
+    auto loadBytes = [&](const std::string& bytes) {
+        std::ofstream(file, std::ios::binary | std::ios::trunc)
+            .write(bytes.data(),
+                   static_cast<std::streamsize>(bytes.size()));
+        return loadSnapshot(file);
+    };
+
+    // Offsets of every length prefix: the order count after the
+    // magic, fingerprint, episodes and tick; the range count; the
+    // range's byte length after its va; the counter count; and each
+    // counter's name length.
+    std::vector<std::size_t> prefixes;
+    std::size_t off = 32;
+    prefixes.push_back(off);
+    off += 8 + 8 * s.order.size();
+    prefixes.push_back(off);
+    off += 16;
+    prefixes.push_back(off);
+    off += 8 + s.mem[0].bytes.size();
+    prefixes.push_back(off);
+    off += 8;
+    for (const auto& [name, v] : s.counters) {
+        prefixes.push_back(off);
+        off += 8 + name.size() + 8;
+    }
+    ASSERT_EQ(off, good.size());
+    EXPECT_EQ(loadBytes(good).counters, s.counters);
+
+    for (const std::size_t at : prefixes) {
+        std::string bad = good;
+        const std::uint64_t huge = std::uint64_t{1} << 60;
+        std::memcpy(&bad[at], &huge, sizeof huge);
+        EXPECT_THROW(loadBytes(bad), FatalError) << "prefix at " << at;
+    }
+    for (std::size_t len = 0; len < good.size(); len += 8)
+        EXPECT_THROW(loadBytes(good.substr(0, len)), FatalError)
+            << "truncated to " << len;
     std::remove(file.c_str());
 }
 

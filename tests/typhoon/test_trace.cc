@@ -1,8 +1,8 @@
 /**
  * @file
- * Tests of the protocol trace ring: exact event sequences for the
- * canonical Stache flows, ring-capacity behaviour, and the
- * off-by-default contract.
+ * Tests of the NP activity in the flight recorder's per-node rings:
+ * exact HandlerDone / Resume / BulkPacket sequences for the canonical
+ * Stache flows, and the section 6 miss-path audit counts.
  */
 
 #include <gtest/gtest.h>
@@ -17,120 +17,120 @@ namespace
 {
 
 using test::StacheRig;
-using TE = TyphoonMemSystem::TraceEvent;
 
-std::vector<std::pair<TE::Kind, std::uint32_t>>
-kindsOf(const std::deque<TE>& trace)
+/** A two-node Stache rig whose Typhoon NPs feed a FlightRecorder. */
+struct TracedRig
 {
-    std::vector<std::pair<TE::Kind, std::uint32_t>> out;
-    for (const TE& e : trace)
-        out.emplace_back(e.kind, e.id);
+    FlightRecorder rec{2, 1024};
+    StacheRig rig{2};
+
+    TracedRig() { rig.mem->setRecorder(&rec); }
+};
+
+/** Node @p n's NP activity records, oldest first. */
+std::vector<TraceRecord>
+npActivity(const FlightRecorder& rec, NodeId n)
+{
+    std::vector<TraceRecord> out;
+    for (const TraceRecord& r : rec.ringOf(n)) {
+        if (r.kind == RecKind::HandlerDone || r.kind == RecKind::Resume ||
+            r.kind == RecKind::BulkPacket)
+            out.push_back(r);
+    }
     return out;
 }
 
-TEST(TyphoonTrace, OffByDefault)
+bool
+isHandler(const TraceRecord& r, ActKind act, std::uint64_t id = 0)
 {
-    StacheRig rig(2);
-    Addr a = rig.stache->shmalloc(4096, 0);
-    rig.run([&](Cpu& cpu) -> Task<void> {
-        if (cpu.id() == 1)
-            co_await cpu.read<int>(a);
-    });
-    EXPECT_TRUE(rig.mem->trace().empty());
+    return r.kind == RecKind::HandlerDone &&
+           r.sub == static_cast<std::uint8_t>(act) && r.addr == id;
 }
 
 TEST(TyphoonTrace, RemoteReadMissProducesTheCanonicalSequence)
 {
-    TyphoonParams tp;
-    tp.traceCapacity = 64;
-    StacheRig rig(2, CoreParams{}, tp);
-    Addr a = rig.stache->shmalloc(4096, 0);
-    rig.run([&](Cpu& cpu) -> Task<void> {
+    TracedRig t;
+    Addr a = t.rig.stache->shmalloc(4096, 0);
+    t.rig.run([&](Cpu& cpu) -> Task<void> {
         if (cpu.id() == 1)
             co_await cpu.read<int>(a);
     });
 
-    const auto seq = kindsOf(rig.mem->trace());
-    // page fault (CPU) -> BAF handler (GetRO sent) -> home GetRO
-    // handler -> data arrival handler (which resumes).
-    ASSERT_EQ(seq.size(), 5u);
-    EXPECT_EQ(seq[0].first, TE::Kind::PageFault);
-    EXPECT_EQ(seq[1].first, TE::Kind::FaultHandler);
-    EXPECT_EQ(seq[1].second, Stache::kModeStache);
-    EXPECT_EQ(seq[2].first, TE::Kind::MsgHandler);
-    EXPECT_EQ(seq[2].second,
-              static_cast<std::uint32_t>(Stache::kGetRO));
-    EXPECT_EQ(seq[3].first, TE::Kind::Resume);
-    EXPECT_EQ(seq[4].first, TE::Kind::MsgHandler);
-    EXPECT_EQ(seq[4].second,
-              static_cast<std::uint32_t>(Stache::kDataRO));
+    // Requester: page fault (CPU) -> BAF handler (GetRO sent) -> data
+    // arrival handler, which resumes the CPU before it finishes.
+    const auto req = npActivity(t.rec, 1);
+    ASSERT_EQ(req.size(), 4u);
+    EXPECT_TRUE(isHandler(req[0], ActKind::Page));
+    EXPECT_TRUE(isHandler(req[1], ActKind::Baf, Stache::kModeStache));
+    EXPECT_EQ(req[2].kind, RecKind::Resume);
+    EXPECT_TRUE(isHandler(req[3], ActKind::Msg, Stache::kDataRO));
+    // Home: the GetRO handler, between the two requester activations.
+    const auto home = npActivity(t.rec, 0);
+    ASSERT_EQ(home.size(), 1u);
+    EXPECT_TRUE(isHandler(home[0], ActKind::Msg, Stache::kGetRO));
 
-    // Ticks are monotone and nodes alternate requester/home.
-    const auto& tr = rig.mem->trace();
-    for (std::size_t i = 1; i < tr.size(); ++i)
-        EXPECT_GE(tr[i].tick, tr[i - 1].tick);
-    EXPECT_EQ(tr[0].node, 1);
-    EXPECT_EQ(tr[2].node, 0);
-    EXPECT_EQ(tr[4].node, 1);
+    EXPECT_GE(home[0].tick, req[1].tick + req[1].t2);
+    EXPECT_GE(req[3].tick, home[0].tick + home[0].t2);
+    // The resume lands inside the arrival handler's occupancy.
+    EXPECT_GT(req[2].tick, req[3].tick);
+    EXPECT_LE(req[2].tick, req[3].tick + req[3].t2);
 }
 
 TEST(TyphoonTrace, WriteAfterReadShowsUpgradeFlow)
 {
-    TyphoonParams tp;
-    tp.traceCapacity = 64;
-    StacheRig rig(2, CoreParams{}, tp);
-    Addr a = rig.stache->shmalloc(4096, 0);
-    rig.run([&](Cpu& cpu) -> Task<void> {
+    TracedRig t;
+    Addr a = t.rig.stache->shmalloc(4096, 0);
+    t.rig.run([&](Cpu& cpu) -> Task<void> {
         if (cpu.id() == 1) {
             co_await cpu.read<int>(a);
             co_await cpu.write<int>(a, 9);
         }
     });
-    // The tail must be: BAF(write) -> home GetRW -> DataRW arrival.
-    const auto seq = kindsOf(rig.mem->trace());
-    ASSERT_GE(seq.size(), 3u);
-    const auto n = seq.size();
-    EXPECT_EQ(seq[n - 3].second,
-              static_cast<std::uint32_t>(Stache::kGetRW));
-    EXPECT_EQ(seq[n - 1].second,
-              static_cast<std::uint32_t>(Stache::kDataRW));
-}
-
-TEST(TyphoonTrace, RingDropsOldestBeyondCapacity)
-{
-    TyphoonParams tp;
-    tp.traceCapacity = 8;
-    StacheRig rig(2, CoreParams{}, tp);
-    Addr a = rig.stache->shmalloc(16 * 4096, 0);
-    rig.run([&](Cpu& cpu) -> Task<void> {
-        if (cpu.id() != 1)
-            co_return;
-        for (int p = 0; p < 16; ++p)
-            co_await cpu.read<int>(a + p * 4096);
-    });
-    EXPECT_EQ(rig.mem->trace().size(), 8u);
-    // The survivors are the most recent events.
-    const Tick lastTick = rig.mem->trace().back().tick;
-    EXPECT_GT(lastTick, rig.mem->trace().front().tick);
-    rig.mem->clearTrace();
-    EXPECT_TRUE(rig.mem->trace().empty());
+    // The requester's tail: BAF(write) -> resume -> DataRW arrival;
+    // the home's last activation is the GetRW.
+    const auto req = npActivity(t.rec, 1);
+    ASSERT_GE(req.size(), 3u);
+    const auto n = req.size();
+    EXPECT_TRUE(isHandler(req[n - 3], ActKind::Baf, Stache::kModeStache));
+    EXPECT_EQ(req[n - 2].kind, RecKind::Resume);
+    EXPECT_TRUE(isHandler(req[n - 1], ActKind::Msg, Stache::kDataRW));
+    const auto home = npActivity(t.rec, 0);
+    ASSERT_FALSE(home.empty());
+    EXPECT_TRUE(isHandler(home.back(), ActKind::Msg, Stache::kGetRW));
 }
 
 TEST(TyphoonTrace, BulkPacketsAreTraced)
 {
-    TyphoonParams tp;
-    tp.traceCapacity = 128;
-    StacheRig rig(2, CoreParams{}, tp);
-    Addr src = rig.stache->shmalloc(4096, 0);
-    Addr dst = rig.stache->shmalloc(4096, 1);
-    rig.mem->tempest(0).setupCtx().bulkTransfer(src, 1, dst, 256, 0);
-    rig.run([&](Cpu& cpu) -> Task<void> {
+    TracedRig t;
+    Addr src = t.rig.stache->shmalloc(4096, 0);
+    Addr dst = t.rig.stache->shmalloc(4096, 1);
+    t.rig.mem->tempest(0).setupCtx().bulkTransfer(src, 1, dst, 256, 0);
+    t.rig.run([&](Cpu& cpu) -> Task<void> {
         co_await cpu.compute(10000);
     });
     int bulk = 0;
-    for (const TE& e : rig.mem->trace())
-        bulk += e.kind == TE::Kind::BulkPacket;
+    for (const TraceRecord& r : npActivity(t.rec, 0)) {
+        if (r.kind != RecKind::BulkPacket)
+            continue;
+        ++bulk;
+        EXPECT_EQ(r.arg, 64u); // bytes per packet
+        EXPECT_EQ(r.t2, t.rig.tp.bulkPacketCost);
+    }
     EXPECT_EQ(bulk, 4); // 256 bytes / 64-byte chunks
+}
+
+TEST(TyphoonTrace, MissPathAuditMatchesSection6Counts)
+{
+    // Section 6's audit on the warm fast path: per miss, 14 cycles to
+    // request, 36.7 to respond and 23 on arrival (EXPERIMENTS.md).
+    const test::MissPathAudit audit = test::runMissPathAudit();
+    EXPECT_EQ(audit.baf.activations, 504u);
+    EXPECT_EQ(audit.baf.cycles, 7056u);
+    EXPECT_EQ(audit.getRO.activations, 504u);
+    EXPECT_EQ(audit.getRO.cycles, 18480u);
+    EXPECT_EQ(audit.dataRO.activations, 504u);
+    EXPECT_EQ(audit.dataRO.cycles, 11592u);
+    EXPECT_EQ(audit.other.activations, 0u);
 }
 
 } // namespace

@@ -18,7 +18,8 @@
 #      every campaign run validates the full invariant catalog.
 #   5. A --trace smoke grid: every protocol writes a Perfetto trace
 #      and a JSON stats dump; both must parse as JSON
-#      (python3 -m json.tool), every delivered message id must
+#      (python3 -m json.tool), tools/stats_lint must accept the
+#      counters-only stats dump, every delivered message id must
 #      pair with a sent id, and tools/trace_lint must accept every
 #      exported trace (schema, span balance, flow well-formedness).
 #   6. A --faults smoke grid: a small fault campaign per protocol over
@@ -127,6 +128,7 @@ fi
 # --- 4. Coherence-sanitizer smoke grid --------------------------------------
 step "coherence sanitizer: --check --perturb smoke grid"
 TTSIM=build/tools/ttsim
+STATS_LINT=build/tools/stats_lint
 for sys in dirnnb stache migratory update; do
     app=em3d
     [ "$sys" = dirnnb ] && app=mp3d
@@ -169,6 +171,7 @@ for sys in dirnnb stache migratory update; do
         --stats-json="$TRACEDIR/$sys.stats.json" >/dev/null
     python3 -m json.tool "$TRACEDIR/$sys.json" >/dev/null
     python3 -m json.tool "$TRACEDIR/$sys.stats.json" >/dev/null
+    "$STATS_LINT" --stats "$TRACEDIR/$sys.stats.json"
     python3 - "$TRACEDIR/$sys.json" <<'EOF'
 import json, sys
 ev = json.load(open(sys.argv[1]))["traceEvents"]
@@ -339,7 +342,6 @@ echo "--- shard union equals unsharded; 4/4 crashes survived"
 
 # --- 9. Self-telemetry + perf-regression gate -------------------------------
 step "telemetry: --telemetry smoke grid"
-STATS_LINT=build/tools/stats_lint
 for sys in dirnnb stache migratory update; do
     echo "--- $sys/em3d --telemetry"
     "$TTSIM" --system="$sys" --app=em3d --dataset=tiny --nodes=8 \

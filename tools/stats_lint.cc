@@ -8,18 +8,9 @@
  *
  * A mode flag applies to every following file; the default is
  * --stats. Checks, per --stats file:
- *   - top level is an object with "counters", "averages", and
- *     "histograms" objects (all three present, even when empty);
- *   - every counter is a non-negative integer;
- *   - every average has mean/count/min/max/variance/stddev, each a
- *     finite number or null (the exporter writes null for
- *     non-finite values, e.g. a NaN-poisoned mean); count is a
- *     non-negative integer;
- *   - every histogram has width > 0, a non-empty "buckets" array of
- *     non-negative integers, non-negative underflow/overflow
- *     integers, and a "summary" shaped like an average whose count
- *     never exceeds buckets+underflow+overflow (non-finite samples
- *     count as underflow but stay out of the summary).
+ *   - top level is an object whose only member is a "counters"
+ *     object (present even when empty);
+ *   - every counter is a non-negative integer.
  *
  * Per --telemetry file:
  *   - "nodes" is a positive integer; "mem" and "host" objects exist;
@@ -80,99 +71,21 @@ isStatNum(const JsonValue* v)
                  (v->isNumber() && std::isfinite(v->number)));
 }
 
-void
-lintSummary(Lint& lint, const std::string& where, const JsonValue& s)
-{
-    if (!s.isObject()) {
-        lint.fail(where, "summary is not an object");
-        return;
-    }
-    for (const char* key :
-         {"mean", "count", "min", "max", "variance", "stddev"}) {
-        const JsonValue* v = s.find(key);
-        if (!v) {
-            lint.fail(where, std::string("missing \"") + key + "\"");
-            continue;
-        }
-        if (!isStatNum(v))
-            lint.fail(where, std::string("\"") + key +
-                                 "\" is not a finite number or null");
-    }
-    const JsonValue* count = s.find("count");
-    if (count && count->isNumber() && !isCount(*count))
-        lint.fail(where, "count is not a non-negative integer");
-}
-
 int
 lintStats(const char* path, const JsonValue& root)
 {
     Lint lint{path};
-    if (!root.isObject()) {
-        lint.fail("top", "not an object");
+    const JsonValue* counters = root.isObject() ? root.find("counters")
+                                                : nullptr;
+    if (!counters || !counters->isObject() || root.fields.size() != 1) {
+        lint.fail("top", "not an object holding exactly one "
+                         "\"counters\" object");
         return 1;
     }
-    for (const char* section : {"counters", "averages", "histograms"}) {
-        if (!root.find(section) || !root.find(section)->isObject())
-            lint.fail("top", std::string("missing \"") + section +
-                                 "\" object");
-    }
-    if (lint.errors)
-        return 1;
-
-    for (const auto& [name, v] : root.find("counters")->fields) {
+    for (const auto& [name, v] : counters->fields) {
         if (!isCount(v))
             lint.fail("counter " + name,
                       "not a non-negative integer");
-    }
-    for (const auto& [name, v] : root.find("averages")->fields)
-        lintSummary(lint, "average " + name, v);
-    for (const auto& [name, h] : root.find("histograms")->fields) {
-        const std::string where = "histogram " + name;
-        if (!h.isObject()) {
-            lint.fail(where, "not an object");
-            continue;
-        }
-        const JsonValue* width = h.find("width");
-        if (!width || !width->isNumber() || width->number <= 0)
-            lint.fail(where, "width is not a positive number");
-        const JsonValue* buckets = h.find("buckets");
-        double inBuckets = 0;
-        if (!buckets || !buckets->isArray() || buckets->items.empty()) {
-            lint.fail(where, "missing non-empty \"buckets\" array");
-        } else {
-            for (const JsonValue& b : buckets->items) {
-                if (!isCount(b)) {
-                    lint.fail(where,
-                              "bucket is not a non-negative integer");
-                    break;
-                }
-                inBuckets += b.number;
-            }
-        }
-        double under = 0, over = 0;
-        for (const char* key : {"underflow", "overflow"}) {
-            const JsonValue* v = h.find(key);
-            if (!v || !isCount(*v))
-                lint.fail(where, std::string("\"") + key +
-                                     "\" is not a non-negative "
-                                     "integer");
-            else
-                (std::strcmp(key, "underflow") == 0 ? under : over) =
-                    v->number;
-        }
-        const JsonValue* summary = h.find("summary");
-        if (!summary) {
-            lint.fail(where, "missing \"summary\"");
-            continue;
-        }
-        lintSummary(lint, where + " summary", *summary);
-        // Non-finite samples land in underflow but stay out of the
-        // summary, so the summary can only undershoot the bucket sum.
-        const JsonValue* count = summary->find("count");
-        if (count && count->isNumber() &&
-            count->number > inBuckets + under + over)
-            lint.fail(where, "summary count exceeds "
-                             "buckets + underflow + overflow");
     }
 
     if (lint.errors) {
@@ -180,11 +93,8 @@ lintStats(const char* path, const JsonValue& root)
                      lint.errors);
         return 1;
     }
-    std::printf("%s: ok (%zu counters, %zu averages, %zu "
-                "histograms)\n",
-                path, root.find("counters")->fields.size(),
-                root.find("averages")->fields.size(),
-                root.find("histograms")->fields.size());
+    std::printf("%s: ok (%zu counters)\n", path,
+                counters->fields.size());
     return 0;
 }
 

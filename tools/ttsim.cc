@@ -115,8 +115,7 @@ usage()
         " into the trace\n"
         "  --trace-ring=N    crash-ring capacity per node"
         " (default 256)\n"
-        "  --stats-json=F    write the full statistics set to F as"
-        " JSON\n"
+        "  --stats-json=F    write every counter to F as JSON\n"
         "  --analyze[=F]     classify per-block sharing patterns and"
         " print the\n"
         "                    protocol-advisor report (JSON to F)\n"
@@ -345,6 +344,9 @@ validateOptions(const Options& o)
     }
     if (o.jitterSet && !o.perturb)
         die("--jitter only modifies --perturb runs");
+    if (o.traceSample && o.traceFile.empty())
+        die("--trace-sample samples counters into the trace; it "
+            "requires --trace");
     if (o.analyze && !o.benchJson.empty()) {
         die("--analyze and --bench-json are mutually exclusive (the "
             "analyzer folds every access and would skew the "
@@ -496,15 +498,14 @@ run(int argc, char** argv)
     cfg.check.mode = o.checkMode == "paranoid"
                          ? ProtocolChecker::Mode::Paranoid
                          : ProtocolChecker::Mode::Fast;
-    cfg.obs.enable = !o.traceFile.empty() || o.traceSample > 0;
+    cfg.obs.enable = !o.traceFile.empty();
     cfg.obs.traceFile = o.traceFile;
     cfg.obs.samplePeriod = o.traceSample;
     cfg.obs.analyze = o.analyze;
     cfg.obs.txn = o.traceCritical;
     cfg.obs.telemetry = o.telemetry;
     // A trace without an explicit sampling period still gets live
-    // counter tracks (events/sec, net traffic, open misses) at a
-    // coarse default.
+    // counter tracks (every StatSet counter) at a coarse default.
     if (!o.traceFile.empty() && o.traceSample == 0)
         cfg.obs.samplePeriod = 1024;
     if (o.traceRing > 0)

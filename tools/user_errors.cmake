@@ -13,7 +13,8 @@ set(cases
     "--app=nope"
     "--system=nope"
     "--restore=${MISSING}"
-    "--threads=4")
+    "--threads=4"
+    "--trace-sample=100")
 
 set(failed 0)
 foreach(arg IN LISTS cases)
