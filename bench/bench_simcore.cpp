@@ -12,8 +12,6 @@
  *   TT_NODES          simulated nodes (default 32)
  *   TT_APPS           comma list of apps (default all five)
  *   TT_BENCH_JSON     output path (default BENCH_simcore.json)
- *   TT_BASELINE_EVSEC reference events/sec to compute speedup
- *   TT_BASELINE_NOTE  how that baseline was measured
  */
 
 #include <cstdio>
@@ -39,8 +37,6 @@ main()
     const auto apps = envList(
         "TT_APPS", {"appbt", "barnes", "mp3d", "ocean", "em3d"});
     const char* jsonPath = std::getenv("TT_BENCH_JSON");
-    const char* baseline = std::getenv("TT_BASELINE_EVSEC");
-    const char* baselineNote = std::getenv("TT_BASELINE_NOTE");
 
     std::printf("bench_simcore: simulator throughput, nodes=%d "
                 "scale=1/%d\n\n",
@@ -49,10 +45,6 @@ main()
     BenchReport rep;
     rep.nodes = nodes;
     rep.scale = scale;
-    if (baseline)
-        rep.baselineEventsPerSec = std::atof(baseline);
-    if (baselineNote)
-        rep.baselineNote = baselineNote;
 
     MachineConfig cfg;
     cfg.core.nodes = nodes;
@@ -249,11 +241,10 @@ main()
     }
 
     // The same grid with self-telemetry attached (--telemetry,
-    // DESIGN.md §16): memory probes + sampled host timer + counter
-    // refresh. Simulated results must be bit-identical — telemetry
-    // only observes — and the slowdown must stay within
-    // TT_TELEMETRY_BOUND (default 1.05x): cheap enough to leave on
-    // in any measurement run.
+    // DESIGN.md §16): memory probes + counter refresh. Simulated
+    // results must be bit-identical — telemetry only observes — and
+    // the slowdown must stay within TT_TELEMETRY_BOUND (default
+    // 1.05x): cheap enough to leave on in any measurement run.
     std::printf("\ntelemetry-on pass:\n");
     {
         MachineConfig mcfg = cfg;

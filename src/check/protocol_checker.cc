@@ -198,7 +198,6 @@ ProtocolChecker::shadowCheck(NodeId n, Addr va, const void* bytes,
 void
 ProtocolChecker::onTagChange(NodeId n, Addr blk, AccessTag t)
 {
-    TelemScope ts(_telem, HostTimer::Cat::Checker);
     if (_mode == Mode::Fast) {
         fastTag(n, blk, static_cast<Copy>(t), tagTrace(t));
         return;
@@ -211,7 +210,6 @@ ProtocolChecker::onTagChange(NodeId n, Addr blk, AccessTag t)
 void
 ProtocolChecker::onPageTags(NodeId n, Addr pageVa, AccessTag t)
 {
-    TelemScope ts(_telem, HostTimer::Cat::Checker);
     trace(n, alignDown(pageVa, _pageSize), tagTrace(t));
     if (_mode == Mode::Fast) {
         const Addr base = alignDown(pageVa, _pageSize);
@@ -225,7 +223,6 @@ ProtocolChecker::onPageTags(NodeId n, Addr pageVa, AccessTag t)
 void
 ProtocolChecker::onPageMap(NodeId n, Addr pageVa, std::uint8_t mode)
 {
-    TelemScope ts(_telem, HostTimer::Cat::Checker);
     // Custom-protocol pages (mode >= 3, e.g. EM3D delayed update) keep
     // consumer copies stale by design: exempt from coherence checking.
     const Addr base = alignDown(pageVa, _pageSize);
@@ -249,7 +246,6 @@ ProtocolChecker::onPageMap(NodeId n, Addr pageVa, std::uint8_t mode)
 void
 ProtocolChecker::onPageUnmap(NodeId n, Addr pageVa)
 {
-    TelemScope ts(_telem, HostTimer::Cat::Checker);
     const Addr base = alignDown(pageVa, _pageSize);
     trace(n, base, "page-unmap");
     if (_mode == Mode::Fast) {
@@ -264,7 +260,6 @@ void
 ProtocolChecker::onAccess(NodeId n, Addr va, unsigned size, bool isWrite,
                           const void* bytes)
 {
-    TelemScope ts(_telem, HostTimer::Cat::Checker);
     if (_mode == Mode::Fast) {
         fastAccess(n, va, size, isWrite, bytes);
         return;
@@ -300,7 +295,6 @@ void
 ProtocolChecker::onBackdoorWrite(Addr va, const void* bytes,
                                  std::size_t len)
 {
-    TelemScope ts(_telem, HostTimer::Cat::Checker);
     shadowWrite(va, bytes, len);
     if (_mode == Mode::Fast) {
         // Restamp every covered block so previously validated words
@@ -314,7 +308,6 @@ ProtocolChecker::onBackdoorWrite(Addr va, const void* bytes,
 void
 ProtocolChecker::onBlockEvent(NodeId n, Addr blk, const char* what)
 {
-    TelemScope ts(_telem, HostTimer::Cat::Checker);
     if (_mode == Mode::Fast) {
         shadow::BlockMeta& m = metaRef(blk >> _blkShift);
         m.flags |= shadow::BlockMeta::kSeen;
@@ -331,7 +324,6 @@ ProtocolChecker::onBlockEvent(NodeId n, Addr blk, const char* what)
 void
 ProtocolChecker::onMsgSend(const Message& m)
 {
-    TelemScope ts(_telem, HostTimer::Cat::Checker);
     ++_inflightTotal;
     if (m.args.size() < 2)
         return;
@@ -354,7 +346,6 @@ ProtocolChecker::onMsgSend(const Message& m)
 void
 ProtocolChecker::onMsgDeliver(const Message& m)
 {
-    TelemScope ts(_telem, HostTimer::Cat::Checker);
     --_inflightTotal;
     if (m.args.size() < 2)
         return;
@@ -382,7 +373,6 @@ ProtocolChecker::onMsgDeliver(const Message& m)
 void
 ProtocolChecker::onEventEnd()
 {
-    TelemScope ts(_telem, HostTimer::Cat::Checker);
     ++_eventsChecked;
     if (_mode == Mode::Fast) {
         if (!_lazyCmp.empty()) {

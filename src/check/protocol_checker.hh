@@ -65,7 +65,6 @@
 #include "check/hooks.hh"
 #include "check/shadow_map.hh"
 #include "core/tempest.hh"
-#include "sim/host_timer.hh"
 #include "sim/types.hh"
 
 namespace tt
@@ -148,9 +147,6 @@ class ProtocolChecker final : public CheckHooks
      * failure report the perturbation harness promises).
      */
     std::string report() const;
-
-    /** Attach the self-telemetry timer (nullptr = off, DESIGN.md §16). */
-    void setTelemetry(HostTimer* t) { _telem = t; }
 
     /**
      * Resident bytes of the shadow engine (telemetry memory probe):
@@ -297,7 +293,6 @@ class ProtocolChecker final : public CheckHooks
     std::unordered_set<std::string> _violationKeys;
     static constexpr std::size_t kMaxViolations = 64;
 
-    HostTimer* _telem = nullptr; ///< self-telemetry timer, opt-in
 
     std::uint64_t _eventsChecked = 0;
 };

@@ -111,13 +111,6 @@ BenchReport::printTable(std::ostream& os) const
                   static_cast<unsigned long long>(totalEvents()),
                   totalWallMs(), eventsPerSec());
     os << line;
-    if (baselineEventsPerSec > 0) {
-        std::snprintf(line, sizeof line,
-                      "baseline: %.0f events/sec -> speedup %.2fx\n",
-                      baselineEventsPerSec,
-                      eventsPerSec() / baselineEventsPerSec);
-        os << line;
-    }
     if (checkerFastWallMs > 0) {
         std::snprintf(line, sizeof line,
                       "checker on (fast): %.0f events/sec (%.2fx "
@@ -247,14 +240,6 @@ BenchReport::writeJson(std::ostream& os) const
     jsonNumber(os, totalWallMs());
     os << ",\n  \"events_per_sec\": ";
     jsonNumber(os, eventsPerSec());
-    if (baselineEventsPerSec > 0) {
-        os << ",\n  \"baseline_events_per_sec\": ";
-        jsonNumber(os, baselineEventsPerSec);
-        os << ",\n  \"speedup\": ";
-        jsonNumber(os, eventsPerSec() / baselineEventsPerSec);
-        os << ",\n  \"baseline_note\": ";
-        jsonEscape(os, baselineNote);
-    }
     if (checkerFastWallMs > 0 || checkerParanoidWallMs > 0) {
         os << ",\n  \"checker_overhead_v2\": {";
         bool first = true;

@@ -3,9 +3,9 @@
  * Wall-clock benchmarking of the simulator itself (not the simulated
  * machine): how many kernel events per second the host executes.
  *
- * Used by bench/bench_simcore.cpp and ttsim --bench-json to produce a
- * machine-readable JSON report, so optimisation work on the
- * simulation core can be tracked against a recorded baseline.
+ * Used by bench/bench_simcore.cpp to produce a machine-readable JSON
+ * report, so optimisation work on the simulation core can be tracked
+ * against a recorded baseline.
  *
  * Timing methodology: each case builds a fresh target machine, then
  * wall-clocks Machine::run() only (construction and workload setup
@@ -50,10 +50,6 @@ struct BenchReport
     int nodes = 0;
     int scale = 0;
     std::vector<BenchCase> cases;
-
-    /** If > 0, a reference events/sec to compute speedup against. */
-    double baselineEventsPerSec = 0;
-    std::string baselineNote;
 
     /**
      * Coherence-sanitizer overhead (bench_simcore): the same grid
@@ -112,9 +108,9 @@ struct BenchReport
     /**
      * Self-telemetry overhead (--telemetry, DESIGN.md §16): the same
      * grid re-run with the telemetry module attached (memory probes +
-     * sampled host timer + counter refresh). The ISSUE bound is
-     * ≤1.05x — telemetry must be cheap enough to leave on in any
-     * measurement run. Same "0 = not measured" convention.
+     * counter refresh). The bound is ≤1.05x — telemetry must be cheap
+     * enough to leave on in any measurement run. Same "0 = not
+     * measured" convention.
      */
     double telemetryOnWallMs = 0;
     std::uint64_t telemetryOnEvents = 0;

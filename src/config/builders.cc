@@ -4,10 +4,50 @@
 #include <iomanip>
 #include <iostream>
 
+#include "mem/addr.hh"
 #include "sim/logging.hh"
 
 namespace tt
 {
+
+std::vector<std::string>
+MachineConfig::validate() const
+{
+    std::vector<std::string> errs;
+    const CoreParams& c = core;
+    if (c.nodes < 1)
+        errs.push_back("nodes must be at least 1, got " +
+                       std::to_string(c.nodes));
+    const bool blockOk = isPow2(c.blockSize) && c.blockSize >= 8;
+    if (!blockOk)
+        errs.push_back("block size must be a power of two of at least "
+                       "8 bytes (one double), got " +
+                       std::to_string(c.blockSize));
+    if (blockOk && c.blockSize > c.pageSize)
+        errs.push_back("block size " + std::to_string(c.blockSize) +
+                       " exceeds the page size " +
+                       std::to_string(c.pageSize));
+    if (!isPow2(c.cacheSize))
+        errs.push_back("cache size must be a power of two, got " +
+                       std::to_string(c.cacheSize) + " bytes");
+    else if (blockOk &&
+             c.cacheSize < std::uint64_t{c.blockSize} * c.cacheAssoc)
+        errs.push_back("a " + std::to_string(c.cacheSize) +
+                       "-byte cache holds no " +
+                       std::to_string(c.cacheAssoc) + "-way set of " +
+                       std::to_string(c.blockSize) + "-byte blocks");
+    return errs;
+}
+
+void
+requireValid(const MachineConfig& cfg)
+{
+    std::string msg;
+    for (const std::string& e : cfg.validate())
+        msg += (msg.empty() ? "" : "; ") + e;
+    if (!msg.empty())
+        tt_fatal("invalid machine: ", msg);
+}
 
 namespace
 {
@@ -187,8 +227,8 @@ attachCheckpoint(TargetMachine& t, const MachineConfig& cfg)
 
 /**
  * Attach the self-telemetry subsystem (ttsim --telemetry, DESIGN.md
- * §16): one Telemetry owns the HostTimer every hot-path scope charges
- * into, plus the named memory probes polled at deterministic points.
+ * §16): one Telemetry owns the named memory probes, and the event
+ * queue's counter polls them every HostTimer::kMemSample events.
  * Must run LAST — it probes whichever optional subsystems the earlier
  * attach steps built (checker, transport, recorder).
  */
@@ -199,17 +239,7 @@ attachTelemetry(TargetMachine& t, const MachineConfig& cfg)
         return;
     t.telemetry = std::make_unique<Telemetry>(t.machine->stats(),
                                               cfg.core.nodes);
-    HostTimer* ht = &t.telemetry->timer();
-    t.machine->eq().setTelemetry(ht);
-    t.network->setTelemetry(ht);
-    if (t.typhoon)
-        t.typhoon->setTelemetry(ht);
-    if (t.dir)
-        t.dir->setTelemetry(ht);
-    if (t.checker)
-        t.checker->setTelemetry(ht);
-    if (t.transport)
-        t.transport->setTelemetry(ht);
+    t.machine->eq().setTelemetry(&t.telemetry->timer());
 
     // Memory probes: raw pointers into unique_ptr targets stay valid
     // across the TargetMachine move (same pattern as the robustness
@@ -258,6 +288,7 @@ attachTelemetry(TargetMachine& t, const MachineConfig& cfg)
 TargetMachine
 buildDirNNB(const MachineConfig& cfg)
 {
+    requireValid(cfg);
     TargetMachine t;
     t.machine = std::make_unique<Machine>(cfg.core);
     t.network = std::make_unique<Network>(
@@ -286,6 +317,7 @@ buildDirNNB(const MachineConfig& cfg)
 TargetMachine
 buildTyphoonStache(const MachineConfig& cfg)
 {
+    requireValid(cfg);
     TargetMachine t;
     t.machine = std::make_unique<Machine>(cfg.core);
     t.network = std::make_unique<Network>(
@@ -306,6 +338,7 @@ buildTyphoonStache(const MachineConfig& cfg)
 TargetMachine
 buildTyphoonEm3dUpdate(const MachineConfig& cfg)
 {
+    requireValid(cfg);
     TargetMachine t;
     t.machine = std::make_unique<Machine>(cfg.core);
     t.network = std::make_unique<Network>(
@@ -328,6 +361,7 @@ buildTyphoonEm3dUpdate(const MachineConfig& cfg)
 TargetMachine
 buildTyphoonMigratory(const MachineConfig& cfg)
 {
+    requireValid(cfg);
     TargetMachine t;
     t.machine = std::make_unique<Machine>(cfg.core);
     t.network = std::make_unique<Network>(

@@ -11,6 +11,8 @@
 
 #include <memory>
 #include <ostream>
+#include <string>
+#include <vector>
 
 #include "check/protocol_checker.hh"
 #include "core/machine.hh"
@@ -67,7 +69,7 @@ struct ObsConfig
     /// classification the critical-path report joins against
     bool txn = false;
     /// simulator self-telemetry (--telemetry, DESIGN.md §16):
-    /// per-subsystem memory accounting and host-time attribution
+    /// per-subsystem memory accounting
     bool telemetry = false;
 };
 
@@ -112,7 +114,20 @@ struct MachineConfig
     ReliableParams reliable;  ///< user-level reliable delivery
     WatchdogConfig watchdog;  ///< progress watchdog (faults only)
     RecoveryConfig recovery;  ///< checkpoint/restart (off by default)
+
+    /**
+     * Every machine-geometry error in this configuration, one message
+     * each; empty when the machine can be built. Node counts need not
+     * be powers of two; block and cache sizes must be.
+     */
+    std::vector<std::string> validate() const;
 };
+
+/**
+ * tt_fatal (a user error) listing every MachineConfig::validate()
+ * error at once; every builder calls it first.
+ */
+void requireValid(const MachineConfig& cfg);
 
 /** Print the active configuration in the shape of Table 2. */
 void printTable2(std::ostream& os, const MachineConfig& cfg);

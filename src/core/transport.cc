@@ -130,7 +130,6 @@ ReliableTransport::reset()
 void
 ReliableTransport::onSend(Message& m, Tick when)
 {
-    TelemScope ts(_telem, HostTimer::Cat::Transport);
     Channel& c = chan(m.src, m.dst);
     m.tkind = TKind::Data;
     m.seq = c.nextSeq++;
@@ -149,7 +148,6 @@ ReliableTransport::onSend(Message& m, Tick when)
 bool
 ReliableTransport::onArrive(Message& m)
 {
-    TelemScope ts(_telem, HostTimer::Cat::Transport);
     // Node-local messages short-circuit the fabric unsequenced.
     if (m.tkind == TKind::None)
         return true;
@@ -195,7 +193,6 @@ ReliableTransport::armTimer(NodeId src, NodeId dst, Channel& c)
 void
 ReliableTransport::onTimeout(NodeId src, NodeId dst, std::uint64_t gen)
 {
-    TelemScope ts(_telem, HostTimer::Cat::Transport);
     Channel& c = chan(src, dst);
     // A superseded generation means the window advanced (or emptied)
     // after this timer was armed; EventQueue has no cancel, so stale

@@ -50,7 +50,6 @@
 #include "net/network.hh"
 #include "net/transport_hooks.hh"
 #include "sim/event_queue.hh"
-#include "sim/host_timer.hh"
 #include "sim/stats.hh"
 #include "sim/types.hh"
 
@@ -119,9 +118,6 @@ class ReliableTransport final : public TransportHooks
     void onSend(Message& m, Tick when) override;
     bool onArrive(Message& m) override;
 
-    /** Attach the self-telemetry timer (nullptr = off, DESIGN.md §16). */
-    void setTelemetry(HostTimer* t) { _telem = t; }
-
     /**
      * Resident bytes of the channel table and retransmission windows
      * (telemetry memory probe). The window copies are the transport's
@@ -177,7 +173,6 @@ class ReliableTransport final : public TransportHooks
     std::vector<Channel> _chans; ///< dense (src * nodes + dst)
 
     DeadLinkListener _onDeadLink; ///< recovery crash detection
-    HostTimer* _telem = nullptr;  ///< self-telemetry timer, opt-in
 
     Counter& _retransmits; ///< net.retransmits
     Counter& _acks;        ///< net.acks (ack messages sent)

@@ -473,7 +473,6 @@ DirMemSystem::footprintBytes() const
 void
 DirMemSystem::onMessage(NodeId self, Message&& msg)
 {
-    TelemScope ts(_telem, HostTimer::Cat::Handler);
     const Addr blk = msg.addrArg(0);
     const Word extra = msg.args.at(2);
     const Tick now = _m.eq().now();

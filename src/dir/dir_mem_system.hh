@@ -36,7 +36,6 @@
 #include "mem/tlb_model.hh"
 #include "net/network.hh"
 #include "sim/dense_map.hh"
-#include "sim/host_timer.hh"
 
 namespace tt
 {
@@ -111,9 +110,6 @@ class DirMemSystem : public MemorySystem
      * copy mirror tracks line states exactly (DESIGN.md §13).
      */
     void setChecker(CheckHooks* c);
-
-    /** Attach the self-telemetry timer (nullptr = off, DESIGN.md §16). */
-    void setTelemetry(HostTimer* t) { _telem = t; }
 
     /**
      * Resident bytes of the protocol state (telemetry memory probe):
@@ -235,7 +231,6 @@ class DirMemSystem : public MemorySystem
     StatSet& _stats;
     CheckHooks* _checker = nullptr; ///< coherence sanitizer, opt-in
     FlightRecorder* _obs = nullptr; ///< flight recorder, opt-in
-    HostTimer* _telem = nullptr;    ///< self-telemetry timer, opt-in
 
     std::vector<Node> _nodes;
 

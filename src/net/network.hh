@@ -19,7 +19,6 @@
 #include "net/transport_hooks.hh"
 #include "obs/recorder.hh"
 #include "sim/event_queue.hh"
-#include "sim/host_timer.hh"
 #include "sim/random.hh"
 #include "sim/stats.hh"
 #include "sim/types.hh"
@@ -96,9 +95,6 @@ class Network
 
     /** Attach the reliable transport (nullptr = raw fabric). */
     void setTransport(TransportHooks* t) { _transport = t; }
-
-    /** Attach the self-telemetry timer (nullptr = off, DESIGN.md §16). */
-    void setTelemetry(HostTimer* t) { _telem = t; }
 
     /**
      * Resident bytes of the fabric's own structures (telemetry memory
@@ -354,11 +350,6 @@ class Network
     void
     deliver(Message&& m)
     {
-        // Host-time attribution: delivery filtering plus everything
-        // the receiver does downstream starts as Net; the handler
-        // sites re-scope to Handler (DESIGN.md §16). No-op unless the
-        // current event is a timed sample.
-        TelemScope ts(_telem, HostTimer::Cat::Net);
         --_inflight;
         // Traffic already in flight when the crash struck: the
         // victim's outstanding sends and its inbound traffic vanish.
@@ -388,7 +379,6 @@ class Network
     FlightRecorder* _obs = nullptr; ///< flight recorder, opt-in
     FaultModel* _faults = nullptr;  ///< unreliable fabric, opt-in
     TransportHooks* _transport = nullptr; ///< reliable delivery, opt-in
-    HostTimer* _telem = nullptr;    ///< self-telemetry timer, opt-in
     Rng _jitter;                    ///< perturbation jitter stream
     std::vector<Tick> _lastArrive;  ///< per-(src,dst) FIFO clamp
     std::vector<std::uint8_t> _dead; ///< crash-stopped nodes, opt-in

@@ -1,30 +1,19 @@
 /**
  * @file
  * Simulator self-telemetry (DESIGN.md §16): per-subsystem memory
- * accounting and host-time attribution, assembled behind
- * `ttsim --telemetry[=FILE]`.
+ * accounting behind `ttsim --telemetry[=FILE]`.
  *
- * Two data sources feed one report:
+ * Each subsystem exposes a deterministic footprintBytes() computed
+ * from its container capacities; the builders register one named
+ * probe per subsystem here. Probes are polled at deterministic points
+ * (run begin/end plus every HostTimer::kMemSample executed events),
+ * tracking current and peak bytes per probe and the peak of the
+ * total.
  *
- *  - *Memory probes*: each subsystem exposes a deterministic
- *    footprintBytes() computed from its container capacities; the
- *    builders register one named probe per subsystem here. Probes are
- *    polled at deterministic points (run begin/end plus every
- *    HostTimer::kMemSample executed events), tracking current and
- *    peak bytes per probe and the peak of the total.
- *
- *  - *Host-time attribution*: the HostTimer (src/sim/host_timer.hh)
- *    times every kTimeSample-th event with scoped TSC counters; this
- *    layer calibrates TSC->ns against steady_clock over the run,
- *    extrapolates by the sampling factor, and charges the residual
- *    (wall minus extrapolated event time) to the event loop itself
- *    (the "engine" category), so the categories sum to the measured
- *    wall time.
- *
- * Determinism: everything under `obs.telemetry.*` (memory counters)
- * is deterministic for a fixed configuration; everything under
- * `obs.host.*` is a host measurement and is excluded from
- * determinism comparisons.
+ * Determinism: everything this layer reports (the report and the
+ * `obs.telemetry.*` counters) is a function of the configuration
+ * alone. Host time is not measured here; perfbench times the
+ * simulator's layers from outside.
  */
 
 #ifndef TT_OBS_TELEMETRY_HH
@@ -57,7 +46,7 @@ class Telemetry
      */
     Telemetry(StatSet& stats, int nodes);
 
-    /** The sampled scoped timer handed to the event kernel + hooks. */
+    /** The event counter handed to the event kernel. */
     HostTimer& timer() { return _timer; }
 
     // --- memory accounting -------------------------------------------
@@ -80,10 +69,10 @@ class Telemetry
 
     // --- run lifecycle -----------------------------------------------
 
-    /** Capture the wall/TSC origin and take the first memory sample. */
+    /** Take the first memory sample. */
     void runBegin();
 
-    /** Capture the wall/TSC end and the final memory sample. */
+    /** Take the final memory sample and fix the probe results. */
     void runEnd();
 
     /**
@@ -122,14 +111,6 @@ class Telemetry
         return _nodes ? static_cast<double>(_totalPeak) / _nodes : 0.0;
     }
     std::uint64_t memSamples() const { return _memSamples; }
-    double wallMs() const { return _wallNs / 1e6; }
-
-    /** Extrapolated ns charged to @p c (valid after runEnd()). */
-    double catNs(HostTimer::Cat c) const;
-    /** Residual ns charged to the event loop (wall - event time). */
-    double engineNs() const;
-    /** Attributed time (categories + engine) over wall, in percent. */
-    double attributedPct() const;
 
   private:
     struct Probe
@@ -140,8 +121,6 @@ class Telemetry
         std::size_t peak = 0;
     };
 
-    double nsPerTsc() const;
-    double catScale() const;
     void refreshCounters();
 
     StatSet& _stats;
@@ -151,16 +130,9 @@ class Telemetry
     std::vector<Probe> _probes;
     std::size_t _totalPeak = 0;
     std::uint64_t _memSamples = 0;
-
-    // Wall/TSC calibration endpoints.
-    std::uint64_t _tsc0 = 0;
-    std::uint64_t _tsc1 = 0;
-    std::uint64_t _wallNs = 0;
     bool _ran = false;
 
     std::vector<ProbeResult> _results;
-
-    std::chrono::steady_clock::time_point _t0;
 };
 
 } // namespace tt

@@ -131,13 +131,9 @@ EventQueue::step()
             --_pending;
             _now = e.when;
             ++_executed;
-            if (_telem) {
+            if (_telem)
                 _telem->eventStart();
-                e.cb();
-                _telem->eventEnd();
-            } else {
-                e.cb();
-            }
+            e.cb();
             return true;
         }
     }
@@ -147,13 +143,9 @@ EventQueue::step()
     --_pending;
     _now = when;
     ++_executed;
-    if (_telem) {
+    if (_telem)
         _telem->eventStart();
-        cb();
-        _telem->eventEnd();
-    } else {
-        cb();
-    }
+    cb();
     return true;
 }
 

@@ -207,8 +207,9 @@ class EventQueue
     bool perturbed() const { return _perturb; }
 
     /**
-     * Attach the self-telemetry timer (DESIGN.md §16). step() then
-     * brackets every callback with eventStart()/eventEnd(); null (the
+     * Attach the self-telemetry event counter (DESIGN.md §16). step()
+     * then calls eventStart() before every callback, which polls the
+     * memory probes every HostTimer::kMemSample events; null (the
      * default) costs one branch per event.
      */
     void setTelemetry(HostTimer* t) { _telem = t; }
@@ -302,7 +303,7 @@ class EventQueue
     bool _perturb = false;
     Rng _prng;
 
-    // Self-telemetry timer; null unless --telemetry (DESIGN.md §16).
+    // Self-telemetry event counter; null unless --telemetry (§16).
     HostTimer* _telem = nullptr;
 };
 

@@ -591,7 +591,6 @@ TyphoonMemSystem::npDeliver(NodeId id, Message&& msg)
 void
 TyphoonMemSystem::npPump(NodeId id, Tick when)
 {
-    TelemScope ts(_telem, HostTimer::Cat::Handler);
     Node& n = _nodes[id];
     if (n.npBusy)
         return;

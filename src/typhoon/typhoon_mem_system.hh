@@ -33,7 +33,6 @@
 #include "core/machine.hh"
 #include "core/memsys.hh"
 #include "core/tempest.hh"
-#include "sim/host_timer.hh"
 #include "mem/cache_model.hh"
 #include "mem/page_table.hh"
 #include "mem/phys_mem.hh"
@@ -167,9 +166,6 @@ class TyphoonMemSystem : public MemorySystem
     /** Attach the coherence sanitizer (nullptr = disabled). */
     void setChecker(CheckHooks* c) { _checker = c; }
 
-    /** Attach the self-telemetry timer (nullptr = off, DESIGN.md §16). */
-    void setTelemetry(HostTimer* t) { _telem = t; }
-
     /**
      * Resident bytes of the mechanism state (telemetry memory probe):
      * per-node timing models, physical memory backing, page tables,
@@ -292,7 +288,6 @@ class TyphoonMemSystem : public MemorySystem
     ShmProtocol* _protocol = nullptr;
     CheckHooks* _checker = nullptr; ///< coherence sanitizer, opt-in
     FlightRecorder* _obs = nullptr; ///< flight recorder, opt-in
-    HostTimer* _telem = nullptr;    ///< self-telemetry timer, opt-in
     std::vector<Node> _nodes;
     std::vector<std::unique_ptr<Tempest>> _tempest;
 

@@ -135,5 +135,27 @@ TEST(Builders, SeedChangesNothingObservableButIsHonored)
     EXPECT_EQ(checksumAt(1), checksumAt(999));
 }
 
+TEST(Builders, ValidateReportsEveryGeometryError)
+{
+    MachineConfig ok;
+    ok.core.nodes = 3; // node counts need not be powers of two
+    EXPECT_TRUE(ok.validate().empty());
+
+    MachineConfig bad;
+    bad.core.nodes = 0;
+    bad.core.blockSize = 33;
+    bad.core.cacheSize = 3072;
+    EXPECT_EQ(bad.validate().size(), 3u);
+
+    MachineConfig big;
+    big.core.blockSize = 8192; // larger than the 4 KB page
+    big.core.cacheSize = 1024; // and no 4-way set of it fits
+    EXPECT_EQ(big.validate().size(), 2u);
+
+    // The builders refuse an invalid machine as a user error.
+    EXPECT_THROW(buildDirNNB(bad), FatalError);
+    EXPECT_THROW(buildTyphoonStache(big), FatalError);
+}
+
 } // namespace
 } // namespace tt

@@ -44,13 +44,16 @@
 #      checkpointing run and its restored continuation must produce
 #      byte-identical stats JSON per protocol; and a sharded crash
 #      campaign's shard union must equal the unsharded report.
-#   9. A --telemetry smoke grid (DESIGN.md §16): every protocol
-#      reports per-subsystem memory + host-time attribution,
-#      stats_lint validates the reports, and telemetry-off runs are
-#      byte-identical to telemetry-on (zero probe effect); then the
-#      bench_diff perf gate: the committed BENCH_simcore.json passes
-#      against itself, a synthetically slowed copy fails, and a fresh
-#      reduced-grid measurement stays within tolerance.
+#   9. A --telemetry smoke grid (DESIGN.md §16): every protocol, and
+#      a faulted, checked stache run, reports per-subsystem memory;
+#      stats_lint validates the reports; a rerun gives a
+#      byte-identical report and stats dump (telemetry output is
+#      deterministic); and the telemetry-off run's whole stdout and
+#      counters equal the telemetry-on run's minus its telemetry
+#      lines and obs.telemetry.* counters (zero probe effect); then
+#      the bench_diff perf gate: the committed BENCH_simcore.json
+#      passes against itself, a synthetically slowed copy fails, and
+#      a fresh reduced-grid measurement stays within tolerance.
 #
 # Usage: tools/check.sh [--skip-asan] [--skip-tidy]
 set -euo pipefail
@@ -342,27 +345,46 @@ echo "--- shard union equals unsharded; 4/4 crashes survived"
 
 # --- 9. Self-telemetry + perf-regression gate -------------------------------
 step "telemetry: --telemetry smoke grid"
+# telem_case <name> <ttsim args...>: one configuration, run telemetry
+# on, telemetry on again, and telemetry off. Every run writes its
+# stats dump to the same path, so the "stats json" stdout lines match.
+telem_case() {
+    local name="$1"
+    shift
+    local p="$TRACEDIR/telem.$name"
+    echo "--- $name --telemetry"
+    "$TTSIM" "$@" --stats-json="$p.stats.json" \
+        --telemetry="$p.telem.json" > "$p.on.txt"
+    cp "$p.stats.json" "$p.on.stats.json"
+    cp "$p.telem.json" "$p.on.telem.json"
+    "$STATS_LINT" --telemetry "$p.on.telem.json" \
+        --stats "$p.on.stats.json"
+    # Rerun identity: telemetry reports memory only, so the same run
+    # twice writes a byte-identical report and stats dump.
+    "$TTSIM" "$@" --stats-json="$p.stats.json" \
+        --telemetry="$p.telem.json" >/dev/null
+    cmp "$p.on.telem.json" "$p.telem.json"
+    cmp "$p.on.stats.json" "$p.stats.json"
+    # Zero probe effect: the telemetry-off run prints the on run's
+    # whole stdout minus its telemetry lines, and dumps its counters
+    # minus obs.telemetry.*.
+    "$TTSIM" "$@" --stats-json="$p.stats.json" > "$p.off.txt"
+    grep -v '^telemetry' "$p.on.txt" | diff - "$p.off.txt"
+    python3 - "$p.on.stats.json" "$p.stats.json" <<'EOF'
+import json, sys
+on, off = (json.load(open(f))["counters"] for f in sys.argv[1:])
+on = {k: v for k, v in on.items() if not k.startswith("obs.telemetry.")}
+assert on == off, sorted(set(on.items()) ^ set(off.items()))
+EOF
+}
 for sys in dirnnb stache migratory update; do
-    echo "--- $sys/em3d --telemetry"
-    "$TTSIM" --system="$sys" --app=em3d --dataset=tiny --nodes=8 \
-        --scale=4 --telemetry="$TRACEDIR/$sys.telem.json" \
-        --stats-json="$TRACEDIR/$sys.telem.stats.json" \
-        > "$TRACEDIR/$sys.telem.txt"
-    "$STATS_LINT" --telemetry "$TRACEDIR/$sys.telem.json" \
-        --stats "$TRACEDIR/$sys.telem.stats.json"
-    # Zero probe effect: the simulated results of a telemetry-off run
-    # must be byte-identical to telemetry-on (host-time lines are
-    # telemetry output, not simulated results — the anchored patterns
-    # pick out exactly the simulated half of the summary).
-    "$TTSIM" --system="$sys" --app=em3d --dataset=tiny --nodes=8 \
-        --scale=4 > "$TRACEDIR/$sys.notelem.txt"
-    grep -E '^(execution time|checksum|work units|net messages|events )' \
-        "$TRACEDIR/$sys.telem.txt" > "$TRACEDIR/$sys.telem.key"
-    grep -E '^(execution time|checksum|work units|net messages|events )' \
-        "$TRACEDIR/$sys.notelem.txt" > "$TRACEDIR/$sys.notelem.key"
-    diff "$TRACEDIR/$sys.telem.key" "$TRACEDIR/$sys.notelem.key"
+    telem_case "$sys" --system="$sys" --app=em3d --dataset=tiny \
+        --nodes=8 --scale=4
 done
-echo "--- telemetry: four systems clean, no probe effect"
+telem_case stache-faults --system=stache --app=em3d --dataset=tiny \
+    --nodes=8 --scale=2 --check \
+    --faults='drop=0.02,dup=0.02,reorder=0.05,seed=7'
+echo "--- telemetry: deterministic, lint-clean, no probe effect"
 
 step "perf gate: bench_diff"
 BENCH_DIFF=build/tools/bench_diff

@@ -12,17 +12,16 @@
  *     object (present even when empty);
  *   - every counter is a non-negative integer.
  *
- * Per --telemetry file:
- *   - "nodes" is a positive integer; "mem" and "host" objects exist;
+ * Per --telemetry file (memory accounting only, so every value is
+ * deterministic):
+ *   - top level is an object holding exactly "nodes" and "mem"; any
+ *     other key fails, including the host-time "host" section that
+ *     telemetry no longer writes;
+ *   - "nodes" is a positive integer;
  *   - mem.samples/total_peak_bytes are non-negative integers,
  *     mem.subsystems maps names to {final_bytes, peak_bytes} with
  *     peak >= final, and total_peak_bytes >= every subsystem peak
- *     (the total is the peak of the sum);
- *   - host has wall_ms/sample_every/events/timed_events/
- *     attributed_pct and a categories_ms object holding exactly
- *     dispatch/handler/net/checker/transport/engine, every value a
- *     non-negative number or null; attributed_pct <= 100.5 (the
- *     extrapolation is clamped to the measured wall time).
+ *     (the total is the peak of the sum).
  *
  * Exit status: 0 = all files clean, 1 = lint errors, 2 = usage/IO.
  */
@@ -106,6 +105,12 @@ lintTelemetry(const char* path, const JsonValue& root)
         lint.fail("top", "not an object");
         return 1;
     }
+    for (const auto& field : root.fields) {
+        if (field.first != "nodes" && field.first != "mem")
+            lint.fail("top", "unexpected key \"" + field.first +
+                                 "\" (the schema is exactly "
+                                 "{nodes, mem})");
+    }
     const JsonValue* nodes = root.find("nodes");
     if (!nodes || !isCount(*nodes) || nodes->number < 1)
         lint.fail("top", "\"nodes\" is not a positive integer");
@@ -148,39 +153,6 @@ lintTelemetry(const char* path, const JsonValue& root)
                     peak->number > total->number)
                     lint.fail(where,
                               "peak_bytes exceeds total_peak_bytes");
-            }
-        }
-    }
-
-    const JsonValue* host = root.find("host");
-    if (!host || !host->isObject()) {
-        lint.fail("top", "missing \"host\" object");
-    } else {
-        for (const char* key :
-             {"wall_ms", "sample_every", "events", "timed_events",
-              "attributed_pct"}) {
-            if (!isStatNum(host->find(key)))
-                lint.fail("host", std::string("\"") + key +
-                                      "\" is not a finite number or "
-                                      "null");
-        }
-        const JsonValue* pct = host->find("attributed_pct");
-        if (pct && pct->isNumber() &&
-            (pct->number < 0 || pct->number > 100.5))
-            lint.fail("host", "attributed_pct outside [0, 100]");
-        const JsonValue* cats = host->find("categories_ms");
-        if (!cats || !cats->isObject()) {
-            lint.fail("host", "missing \"categories_ms\" object");
-        } else {
-            for (const char* key : {"dispatch", "handler", "net",
-                                    "checker", "transport", "engine"}) {
-                const JsonValue* v = cats->find(key);
-                if (!isStatNum(v) ||
-                    (v->isNumber() && v->number < 0))
-                    lint.fail("host.categories_ms",
-                              std::string("\"") + key +
-                                  "\" is not a non-negative number "
-                                  "or null");
             }
         }
     }

@@ -15,7 +15,6 @@
  */
 
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -25,7 +24,6 @@
 #include <fstream>
 
 #include "apps/workloads.hh"
-#include "config/bench_harness.hh"
 #include "config/builders.hh"
 #include "config/campaign.hh"
 #include "obs/sharing.hh"
@@ -49,7 +47,6 @@ struct Options
     int quantum = 32;
     double remotePct = 20;
     std::uint64_t seed = 0;
-    std::string benchJson; ///< write a wall-clock JSON report here
     std::string traceFile; ///< Perfetto/Chrome-trace JSON output
     std::string statsJson; ///< machine-readable StatSet dump
     bool analyze = false;    ///< run the online sharing analyzer
@@ -107,8 +104,6 @@ usage()
         "  --quantum=N       local-time window (default 32)\n"
         "  --remote=PCT      EM3D remote-edge percent (default 20)\n"
         "  --seed=N          machine RNG seed\n"
-        "  --bench-json=F    write a wall-clock benchmark report"
-        " (events/sec) to F\n"
         "  --trace=F         stream a Perfetto/Chrome trace to F"
         " (open at ui.perfetto.dev)\n"
         "  --trace-sample=N  also sample every counter each N ticks"
@@ -127,11 +122,9 @@ usage()
         " --faults\n"
         "  --telemetry[=F]   simulator self-telemetry: per-subsystem"
         " memory\n"
-        "                    accounting and host-time attribution"
-        " (JSON to F);\n"
-        "                    simulated results are byte-identical"
-        " with or\n"
-        "                    without it\n"
+        "                    accounting (JSON to F); simulated results"
+        " are\n"
+        "                    byte-identical with or without it\n"
         "  --fault=NAME      inject a protocol bug (skip-invalidate |"
         " skip-downgrade)\n"
         "  --check[=MODE]    run the coherence sanitizer (exit 3 on"
@@ -211,8 +204,6 @@ parseArg(Options& o, const std::string& arg)
         o.remotePct = std::atof(v.c_str());
     } else if (eat("--seed=", &v)) {
         o.seed = std::strtoull(v.c_str(), nullptr, 0);
-    } else if (eat("--bench-json=", &v)) {
-        o.benchJson = v;
     } else if (eat("--trace=", &v)) {
         o.traceFile = v;
     } else if (eat("--trace-sample=", &v)) {
@@ -315,9 +306,12 @@ parseDataSet(const std::string& s)
     tt_fatal("unknown dataset: ", s);
 }
 
-/** Reject contradictory flag combinations with a clear usage error. */
+/**
+ * Reject contradictory flag combinations with a clear usage error, and
+ * an unbuildable machine (@p cfg's geometry) with every error at once.
+ */
 void
-validateOptions(const Options& o)
+validateOptions(const Options& o, const MachineConfig& cfg)
 {
     auto die = [](const char* msg) {
         std::fprintf(stderr, "ttsim: %s\n", msg);
@@ -347,16 +341,6 @@ validateOptions(const Options& o)
     if (o.traceSample && o.traceFile.empty())
         die("--trace-sample samples counters into the trace; it "
             "requires --trace");
-    if (o.analyze && !o.benchJson.empty()) {
-        die("--analyze and --bench-json are mutually exclusive (the "
-            "analyzer folds every access and would skew the "
-            "wall-clock measurement)");
-    }
-    if (o.traceCritical && !o.benchJson.empty()) {
-        die("--trace-critical and --bench-json are mutually exclusive "
-            "(the tracer folds every record and would skew the "
-            "wall-clock measurement)");
-    }
     if (!o.campaignJson.empty() && !o.campaign)
         die("--campaign-json requires --campaign");
     if (o.campaign) {
@@ -368,8 +352,6 @@ validateOptions(const Options& o)
         if (!o.traceFile.empty())
             die("--campaign runs many machines; --trace applies to a "
                 "single run");
-        if (!o.benchJson.empty())
-            die("--campaign and --bench-json are mutually exclusive");
         if (!o.statsJson.empty())
             die("--campaign and --stats-json are mutually exclusive "
                 "(the report goes to --campaign-json)");
@@ -418,6 +400,7 @@ validateOptions(const Options& o)
             die("--checkpoint/--restore and --perturb are mutually "
                 "exclusive");
     }
+    requireValid(cfg);
 }
 
 /**
@@ -483,8 +466,6 @@ run(int argc, char** argv)
         return 0;
     }
 
-    validateOptions(o);
-
     MachineConfig cfg;
     cfg.core.nodes = o.nodes;
     cfg.core.cacheSize = static_cast<std::uint64_t>(o.cacheKb) * 1024;
@@ -493,6 +474,8 @@ run(int argc, char** argv)
     cfg.net.latency = o.netLatency;
     if (o.seed)
         cfg.core.seed = o.seed;
+
+    validateOptions(o, cfg);
 
     cfg.check.enable = o.check;
     cfg.check.mode = o.checkMode == "paranoid"
@@ -707,7 +690,6 @@ run(int argc, char** argv)
 
     if (target.telemetry)
         target.telemetry->runBegin();
-    const auto t0 = std::chrono::steady_clock::now();
     RunResult r;
     try {
         r = restored ? target.run(*app, plan) : target.run(*app);
@@ -727,11 +709,8 @@ run(int argc, char** argv)
             std::printf("stats json     : %s\n", o.statsJson.c_str());
         return 4;
     }
-    const auto t1 = std::chrono::steady_clock::now();
     if (target.telemetry)
         target.telemetry->runEnd();
-    const double wallMs =
-        std::chrono::duration<double, std::milli>(t1 - t0).count();
 
     std::printf("execution time : %llu cycles\n",
                 static_cast<unsigned long long>(r.execTime));
@@ -808,8 +787,8 @@ run(int argc, char** argv)
     }
 
     if (target.telemetry) {
-        // Fold before any --stats-json write so obs.telemetry.* /
-        // obs.host.* land in the dump.
+        // Fold before any --stats-json write so obs.telemetry.*
+        // lands in the dump.
         target.telemetry->finalize();
         target.telemetry->printSummary(std::cout);
         if (!o.telemetryJson.empty()) {
@@ -848,27 +827,6 @@ run(int argc, char** argv)
         }
     }
 
-    if (!o.benchJson.empty()) {
-        BenchReport rep;
-        rep.nodes = o.nodes;
-        rep.scale = o.scale;
-        BenchCase c;
-        c.system = o.system;
-        c.app = app->name();
-        c.dataset = o.dataset;
-        c.cycles = r.execTime;
-        c.events = r.events;
-        c.wallMs = wallMs;
-        c.checksum = app->checksum();
-        rep.cases.push_back(std::move(c));
-        if (!rep.writeJsonFile(o.benchJson)) {
-            std::fprintf(stderr, "cannot write %s\n",
-                         o.benchJson.c_str());
-            return 1;
-        }
-        std::printf("bench report   : %s (%.0f events/sec)\n",
-                    o.benchJson.c_str(), rep.eventsPerSec());
-    }
     return checkFailed ? 3 : 0;
 }
 

@@ -14,7 +14,14 @@ set(cases
     "--system=nope"
     "--restore=${MISSING}"
     "--threads=4"
-    "--trace-sample=100")
+    "--bench-json=x.json"
+    "--trace-sample=100"
+    "--nodes=0"
+    "--nodes=-1"
+    "--block=33"
+    "--block=0"
+    "--block=4"
+    "--cache-kb=0")
 
 set(failed 0)
 foreach(arg IN LISTS cases)
