@@ -29,17 +29,10 @@ main()
             MachineConfig cfg;
             cfg.core.nodes = nodes;
             cfg.core.blockSize = bs;
-            RunOutcome dir, stache;
-            {
-                auto t = buildDirNNB(cfg);
-                auto a = makeWorkload(app, DataSet::Small, scale);
-                dir = runApp(t, *a);
-            }
-            {
-                auto t = buildTyphoonStache(cfg);
-                auto a = makeWorkload(app, DataSet::Small, scale);
-                stache = runApp(t, *a);
-            }
+            const RunOutcome dir =
+                runCase("dirnnb", app, DataSet::Small, scale, cfg);
+            const RunOutcome stache =
+                runCase("stache", app, DataSet::Small, scale, cfg);
             if (dir.checksum != stache.checksum) {
                 std::printf("CHECKSUM MISMATCH %s bs=%u\n", app, bs);
                 return 1;

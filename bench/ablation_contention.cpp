@@ -30,13 +30,10 @@ main()
         MachineConfig cfg;
         cfg.core.nodes = nodes;
         cfg.net.ejectPerPacket = eject;
-        RunOutcome dir, stache;
+        const RunOutcome dir =
+            runCase("dirnnb", "em3d", DataSet::Small, scale, cfg);
+        RunOutcome stache;
         std::uint64_t queued = 0;
-        {
-            auto t = buildDirNNB(cfg);
-            auto a = makeWorkload("em3d", DataSet::Small, scale);
-            dir = runApp(t, *a);
-        }
         {
             auto t = buildTyphoonStache(cfg);
             auto a = makeWorkload("em3d", DataSet::Small, scale);

@@ -27,24 +27,14 @@ main()
     for (const char* app : {"ocean", "em3d", "appbt"}) {
         MachineConfig cfg;
         cfg.core.nodes = nodes;
-        RunOutcome rr, ft, stache;
-        {
-            auto t = buildDirNNB(cfg);
-            auto a = makeWorkload(app, DataSet::Small, scale);
-            rr = runApp(t, *a);
-        }
-        {
-            MachineConfig c2 = cfg;
-            c2.dir.firstTouch = true;
-            auto t = buildDirNNB(c2);
-            auto a = makeWorkload(app, DataSet::Small, scale);
-            ft = runApp(t, *a);
-        }
-        {
-            auto t = buildTyphoonStache(cfg);
-            auto a = makeWorkload(app, DataSet::Small, scale);
-            stache = runApp(t, *a);
-        }
+        MachineConfig ftCfg = cfg;
+        ftCfg.dir.firstTouch = true;
+        const RunOutcome rr =
+            runCase("dirnnb", app, DataSet::Small, scale, cfg);
+        const RunOutcome ft =
+            runCase("dirnnb", app, DataSet::Small, scale, ftCfg);
+        const RunOutcome stache =
+            runCase("stache", app, DataSet::Small, scale, cfg);
         if (rr.checksum != ft.checksum ||
             rr.checksum != stache.checksum) {
             std::printf("CHECKSUM MISMATCH for %s\n", app);

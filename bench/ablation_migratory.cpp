@@ -30,18 +30,11 @@ main()
         for (DataSet ds : {DataSet::Small}) {
             MachineConfig cfg;
             cfg.core.nodes = nodes;
-            RunOutcome dir, stache, mig;
+            const RunOutcome dir = runCase("dirnnb", app, ds, scale, cfg);
+            const RunOutcome stache =
+                runCase("stache", app, ds, scale, cfg);
+            RunOutcome mig;
             std::uint64_t promos = 0;
-            {
-                auto t = buildDirNNB(cfg);
-                auto a = makeWorkload(app, ds, scale);
-                dir = runApp(t, *a);
-            }
-            {
-                auto t = buildTyphoonStache(cfg);
-                auto a = makeWorkload(app, ds, scale);
-                stache = runApp(t, *a);
-            }
             {
                 auto t = buildTyphoonMigratory(cfg);
                 auto a = makeWorkload(app, ds, scale);

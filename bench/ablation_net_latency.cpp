@@ -29,17 +29,10 @@ main()
         MachineConfig cfg;
         cfg.core.nodes = nodes;
         cfg.net.latency = lat;
-        RunOutcome dir, stache;
-        {
-            auto t = buildDirNNB(cfg);
-            auto a = makeWorkload("em3d", DataSet::Small, scale);
-            dir = runApp(t, *a);
-        }
-        {
-            auto t = buildTyphoonStache(cfg);
-            auto a = makeWorkload("em3d", DataSet::Small, scale);
-            stache = runApp(t, *a);
-        }
+        const RunOutcome dir =
+            runCase("dirnnb", "em3d", DataSet::Small, scale, cfg);
+        const RunOutcome stache =
+            runCase("stache", "em3d", DataSet::Small, scale, cfg);
         if (dir.checksum != stache.checksum) {
             std::printf("CHECKSUM MISMATCH at latency %llu\n",
                         (unsigned long long)lat);

@@ -32,12 +32,8 @@ main()
     base.core.nodes = nodes;
     base.core.cacheSize = 4 * 1024; // the regime where Stache wins
 
-    RunOutcome dir;
-    {
-        auto t = buildDirNNB(base);
-        auto a = makeWorkload("em3d", DataSet::Small, scale);
-        dir = runApp(t, *a);
-    }
+    const RunOutcome dir =
+        runCase("dirnnb", "em3d", DataSet::Small, scale, base);
 
     for (Tick chk : {0u, 1u, 2u, 4u, 8u}) {
         MachineConfig cfg = base;

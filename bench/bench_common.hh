@@ -68,6 +68,20 @@ runApp(TargetMachine& target, BenchApp& app)
     return RunOutcome{r.execTime, app.checksum(), app.workUnits()};
 }
 
+/**
+ * Build @p system from @p cfg and run @p app on it, both through the
+ * case factory (buildTarget, makeTargetApp); EM3D gets @p remoteFrac
+ * remote edges.
+ */
+inline RunOutcome
+runCase(const std::string& system, const std::string& app, DataSet ds,
+        int scale, const MachineConfig& cfg, double remoteFrac = 0.2)
+{
+    TargetMachine t = buildTarget(system, cfg);
+    const auto a = makeTargetApp(system, app, ds, scale, remoteFrac, t);
+    return runApp(t, *a);
+}
+
 } // namespace tt::bench
 
 #endif // TT_BENCH_COMMON_HH

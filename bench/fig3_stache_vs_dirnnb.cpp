@@ -13,7 +13,6 @@
 
 #include <cstdio>
 
-#include "apps/em3d.hh"
 #include "bench/bench_common.hh"
 
 using namespace tt;
@@ -60,17 +59,10 @@ main()
             cfg.core.nodes = nodes;
             cfg.core.cacheSize = cell.cache;
 
-            RunOutcome dir, stache;
-            {
-                auto t = buildDirNNB(cfg);
-                auto a = makeWorkload(appName, cell.ds, scale);
-                dir = runApp(t, *a);
-            }
-            {
-                auto t = buildTyphoonStache(cfg);
-                auto a = makeWorkload(appName, cell.ds, scale);
-                stache = runApp(t, *a);
-            }
+            const RunOutcome dir =
+                runCase("dirnnb", appName, cell.ds, scale, cfg);
+            const RunOutcome stache =
+                runCase("stache", appName, cell.ds, scale, cfg);
             if (dir.checksum != stache.checksum) {
                 std::printf("CHECKSUM MISMATCH for %s %s: %.17g vs "
                             "%.17g\n",
@@ -101,18 +93,10 @@ main()
             cfg.core.nodes = nodes;
             cfg.core.cacheSize = cell.cache;
 
-            Em3dApp::Params p = em3dParams(cell.ds, 0.2, scale);
-            RunOutcome dir, upd;
-            {
-                auto t = buildDirNNB(cfg);
-                Em3dApp a(p);
-                dir = runApp(t, a);
-            }
-            {
-                auto t = buildTyphoonEm3dUpdate(cfg);
-                Em3dApp a(p, Em3dApp::Mode::Update, t.em3d);
-                upd = runApp(t, a);
-            }
+            const RunOutcome dir =
+                runCase("dirnnb", "em3d", cell.ds, scale, cfg);
+            const RunOutcome upd =
+                runCase("update", "em3d", cell.ds, scale, cfg);
             if (dir.checksum != upd.checksum) {
                 std::printf("CHECKSUM MISMATCH (update) %s\n",
                             cell.label);

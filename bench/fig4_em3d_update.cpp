@@ -12,7 +12,6 @@
 
 #include <cstdio>
 
-#include "apps/em3d.hh"
 #include "bench/bench_common.hh"
 
 using namespace tt;
@@ -34,8 +33,6 @@ main()
 
     for (int pct = 0; pct <= 50; pct += 10) {
         const double frac = pct / 100.0;
-        Em3dApp::Params p = em3dParams(DataSet::Large, frac, scale);
-
         auto cyclesPerEdge = [&](RunOutcome o) {
             // Per-processor work: each node computes its share of the
             // edges each iteration.
@@ -47,22 +44,13 @@ main()
         cfg.core.nodes = nodes;
         cfg.core.cacheSize = 256 * 1024;
 
-        RunOutcome dir, stache, upd;
-        {
-            auto t = buildDirNNB(cfg);
-            Em3dApp a(p);
-            dir = runApp(t, a);
-        }
-        {
-            auto t = buildTyphoonStache(cfg);
-            Em3dApp a(p);
-            stache = runApp(t, a);
-        }
-        {
-            auto t = buildTyphoonEm3dUpdate(cfg);
-            Em3dApp a(p, Em3dApp::Mode::Update, t.em3d);
-            upd = runApp(t, a);
-        }
+        auto run = [&](const char* system) {
+            return runCase(system, "em3d", DataSet::Large, scale, cfg,
+                           frac);
+        };
+        const RunOutcome dir = run("dirnnb");
+        const RunOutcome stache = run("stache");
+        const RunOutcome upd = run("update");
         if (dir.checksum != stache.checksum ||
             dir.checksum != upd.checksum) {
             std::printf("CHECKSUM MISMATCH at %d%% remote\n", pct);

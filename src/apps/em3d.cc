@@ -11,6 +11,11 @@ Em3dApp::setup(Machine& m)
     _machine = &m;
     MemorySystem& ms = m.memsys();
     const int P = m.nodes();
+    // Every node owns a share of both halves of the graph; the
+    // neighbor draw below needs each share to be non-empty.
+    if (P > _p.nNodes / 2)
+        tt_fatal("em3d: ", P, " nodes exceed the data set's limit of "
+                 "nNodes/2 = ", _p.nNodes / 2, " nodes");
     _nE = _p.nNodes / 2;
     _nH = _p.nNodes - _nE;
 

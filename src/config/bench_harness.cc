@@ -36,56 +36,15 @@ BenchReport::eventsPerSec() const
 }
 
 double
-BenchReport::checkerFastEventsPerSec() const
+BenchPass::eventsPerSec() const
 {
-    return checkerFastWallMs > 0
-               ? checkerFastEvents / (checkerFastWallMs / 1000.0)
-               : 0;
+    return wallMs > 0 ? events / (wallMs / 1000.0) : 0;
 }
 
 double
-BenchReport::checkerParanoidEventsPerSec() const
+BenchReport::slowdown(const BenchPass& p) const
 {
-    return checkerParanoidWallMs > 0
-               ? checkerParanoidEvents / (checkerParanoidWallMs / 1000.0)
-               : 0;
-}
-
-double
-BenchReport::traceOnEventsPerSec() const
-{
-    return traceOnWallMs > 0 ? traceOnEvents / (traceOnWallMs / 1000.0)
-                             : 0;
-}
-
-double
-BenchReport::analyzeOnEventsPerSec() const
-{
-    return analyzeOnWallMs > 0
-               ? analyzeOnEvents / (analyzeOnWallMs / 1000.0)
-               : 0;
-}
-
-double
-BenchReport::txnOnEventsPerSec() const
-{
-    return txnOnWallMs > 0 ? txnOnEvents / (txnOnWallMs / 1000.0) : 0;
-}
-
-double
-BenchReport::transportOnEventsPerSec() const
-{
-    return transportOnWallMs > 0
-               ? transportOnEvents / (transportOnWallMs / 1000.0)
-               : 0;
-}
-
-double
-BenchReport::telemetryOnEventsPerSec() const
-{
-    return telemetryOnWallMs > 0
-               ? telemetryOnEvents / (telemetryOnWallMs / 1000.0)
-               : 0;
+    return eventsPerSec() / p.eventsPerSec();
 }
 
 void
@@ -111,63 +70,17 @@ BenchReport::printTable(std::ostream& os) const
                   static_cast<unsigned long long>(totalEvents()),
                   totalWallMs(), eventsPerSec());
     os << line;
-    if (checkerFastWallMs > 0) {
+    for (const BenchPass& p : passes) {
+        if (p.wallMs <= 0)
+            continue;
         std::snprintf(line, sizeof line,
-                      "checker on (fast): %.0f events/sec (%.2fx "
-                      "slower than checker off)\n",
-                      checkerFastEventsPerSec(),
-                      eventsPerSec() / checkerFastEventsPerSec());
+                      "%s pass: %.0f events/sec, %.2fx slower than the "
+                      "base pass",
+                      p.label.c_str(), p.eventsPerSec(), slowdown(p));
         os << line;
-    }
-    if (checkerParanoidWallMs > 0) {
-        std::snprintf(line, sizeof line,
-                      "checker on (paranoid): %.0f events/sec (%.2fx "
-                      "slower than checker off)\n",
-                      checkerParanoidEventsPerSec(),
-                      eventsPerSec() / checkerParanoidEventsPerSec());
-        os << line;
-    }
-    if (traceOnWallMs > 0) {
-        std::snprintf(line, sizeof line,
-                      "trace on: %.0f events/sec (%.2fx slower "
-                      "than trace off)\n",
-                      traceOnEventsPerSec(),
-                      eventsPerSec() / traceOnEventsPerSec());
-        os << line;
-    }
-    if (analyzeOnWallMs > 0) {
-        std::snprintf(line, sizeof line,
-                      "analyze on: %.0f events/sec (%.2fx slower "
-                      "than analyze off)\n",
-                      analyzeOnEventsPerSec(),
-                      eventsPerSec() / analyzeOnEventsPerSec());
-        os << line;
-    }
-    if (txnOnWallMs > 0) {
-        std::snprintf(line, sizeof line,
-                      "txn tracer on: %.0f events/sec (%.2fx slower "
-                      "than tracer off)\n",
-                      txnOnEventsPerSec(),
-                      eventsPerSec() / txnOnEventsPerSec());
-        os << line;
-    }
-    if (transportOnWallMs > 0) {
-        std::snprintf(line, sizeof line,
-                      "faults+transport on: %.0f events/sec (%.2fx "
-                      "slower than faults off, %llu retransmits)\n",
-                      transportOnEventsPerSec(),
-                      eventsPerSec() / transportOnEventsPerSec(),
-                      static_cast<unsigned long long>(
-                          transportOnRetransmits));
-        os << line;
-    }
-    if (telemetryOnWallMs > 0) {
-        std::snprintf(line, sizeof line,
-                      "telemetry on: %.0f events/sec (%.2fx slower "
-                      "than telemetry off)\n",
-                      telemetryOnEventsPerSec(),
-                      eventsPerSec() / telemetryOnEventsPerSec());
-        os << line;
+        if (!p.faults.empty())
+            os << ", " << p.retransmits << " retransmits";
+        os << "\n";
     }
     if (!memFootprint.empty()) {
         os << "memory footprint (em3d/small, telemetry probes):\n";
@@ -240,85 +153,41 @@ BenchReport::writeJson(std::ostream& os) const
     jsonNumber(os, totalWallMs());
     os << ",\n  \"events_per_sec\": ";
     jsonNumber(os, eventsPerSec());
-    if (checkerFastWallMs > 0 || checkerParanoidWallMs > 0) {
-        os << ",\n  \"checker_overhead_v2\": {";
-        bool first = true;
-        if (checkerFastWallMs > 0) {
-            os << "\n    \"fast\": {\"events\": " << checkerFastEvents
-               << ", \"wall_ms\": ";
-            jsonNumber(os, checkerFastWallMs);
-            os << ", \"events_per_sec_check_on\": ";
-            jsonNumber(os, checkerFastEventsPerSec());
-            os << ", \"slowdown_vs_check_off\": ";
-            jsonNumber(os, eventsPerSec() / checkerFastEventsPerSec());
-            os << "}";
-            first = false;
+    // Consecutive passes that share a group nest inside one object.
+    std::string group; // the open group ("" = top level)
+    for (const BenchPass& p : passes) {
+        if (p.wallMs <= 0)
+            continue;
+        const bool opens = p.group != group;
+        if (opens) {
+            if (!group.empty())
+                os << "\n  }";
+            group = p.group;
+            if (!group.empty())
+                os << ",\n  \"" << group << "\": {";
         }
-        if (checkerParanoidWallMs > 0) {
-            os << (first ? "" : ",") << "\n    \"paranoid\": {\"events\": "
-               << checkerParanoidEvents << ", \"wall_ms\": ";
-            jsonNumber(os, checkerParanoidWallMs);
-            os << ", \"events_per_sec_check_on\": ";
-            jsonNumber(os, checkerParanoidEventsPerSec());
-            os << ", \"slowdown_vs_check_off\": ";
-            jsonNumber(os,
-                       eventsPerSec() / checkerParanoidEventsPerSec());
-            os << "}";
+        if (group.empty())
+            os << ",\n  \"";
+        else
+            os << (opens ? "" : ",") << "\n    \"";
+        os << p.key << "\": {";
+        if (!p.faults.empty()) {
+            os << "\"faults\": ";
+            jsonEscape(os, p.faults);
+            os << ", ";
         }
+        os << "\"events\": " << p.events << ", \"wall_ms\": ";
+        jsonNumber(os, p.wallMs);
+        os << ", \"events_per_sec_" << p.tag << "_on\": ";
+        jsonNumber(os, p.eventsPerSec());
+        os << ", \"slowdown_vs_" << p.tag << "_off\": ";
+        jsonNumber(os, slowdown(p));
+        if (!p.faults.empty())
+            os << ", \"retransmits\": " << p.retransmits;
+        os << "}";
+    }
+    if (!group.empty())
         os << "\n  }";
-    }
-    if (traceOnWallMs > 0) {
-        os << ",\n  \"trace_overhead\": {\"events\": " << traceOnEvents
-           << ", \"wall_ms\": ";
-        jsonNumber(os, traceOnWallMs);
-        os << ", \"events_per_sec_trace_on\": ";
-        jsonNumber(os, traceOnEventsPerSec());
-        os << ", \"slowdown_vs_trace_off\": ";
-        jsonNumber(os, eventsPerSec() / traceOnEventsPerSec());
-        os << "}";
-    }
-    if (analyzeOnWallMs > 0) {
-        os << ",\n  \"analyze_overhead\": {\"events\": "
-           << analyzeOnEvents << ", \"wall_ms\": ";
-        jsonNumber(os, analyzeOnWallMs);
-        os << ", \"events_per_sec_analyze_on\": ";
-        jsonNumber(os, analyzeOnEventsPerSec());
-        os << ", \"slowdown_vs_analyze_off\": ";
-        jsonNumber(os, eventsPerSec() / analyzeOnEventsPerSec());
-        os << "}";
-    }
-    if (txnOnWallMs > 0) {
-        os << ",\n  \"txn_trace_overhead\": {\"events\": "
-           << txnOnEvents << ", \"wall_ms\": ";
-        jsonNumber(os, txnOnWallMs);
-        os << ", \"events_per_sec_txn_on\": ";
-        jsonNumber(os, txnOnEventsPerSec());
-        os << ", \"slowdown_vs_txn_off\": ";
-        jsonNumber(os, eventsPerSec() / txnOnEventsPerSec());
-        os << "}";
-    }
-    if (transportOnWallMs > 0) {
-        os << ",\n  \"reliable_transport_overhead\": {\"faults\": ";
-        jsonEscape(os, transportFaultSpec);
-        os << ", \"events\": " << transportOnEvents
-           << ", \"wall_ms\": ";
-        jsonNumber(os, transportOnWallMs);
-        os << ", \"events_per_sec_faults_on\": ";
-        jsonNumber(os, transportOnEventsPerSec());
-        os << ", \"slowdown_vs_faults_off\": ";
-        jsonNumber(os, eventsPerSec() / transportOnEventsPerSec());
-        os << ", \"retransmits\": " << transportOnRetransmits << "}";
-    }
-    if (telemetryOnWallMs > 0) {
-        os << ",\n  \"telemetry_overhead\": {\"events\": "
-           << telemetryOnEvents << ", \"wall_ms\": ";
-        jsonNumber(os, telemetryOnWallMs);
-        os << ", \"events_per_sec_telemetry_on\": ";
-        jsonNumber(os, telemetryOnEventsPerSec());
-        os << ", \"slowdown_vs_telemetry_off\": ";
-        jsonNumber(os, eventsPerSec() / telemetryOnEventsPerSec());
-        os << "}";
-    }
     if (!memFootprint.empty()) {
         os << ",\n  \"mem_footprint\": {\"app\": \"em3d\", "
               "\"dataset\": \"small\", \"host_cores\": "
@@ -360,30 +229,9 @@ runBenchCase(const std::string& system, const std::string& appName,
              DataSet ds, int scale, const MachineConfig& cfg,
              BenchTelemetry* telem)
 {
-    TargetMachine target;
-    std::unique_ptr<BenchApp> app;
-
-    if (system == "dirnnb") {
-        target = buildDirNNB(cfg);
-    } else if (system == "stache") {
-        target = buildTyphoonStache(cfg);
-    } else if (system == "migratory") {
-        target = buildTyphoonMigratory(cfg);
-    } else if (system == "update") {
-        tt_assert(appName == "em3d",
-                  "system 'update' supports only em3d");
-        target = buildTyphoonEm3dUpdate(cfg);
-    } else {
-        tt_fatal("unknown bench system: ", system);
-    }
-
-    if (system == "update") {
-        app = std::make_unique<Em3dApp>(em3dParams(ds, 0.2, scale),
-                                        Em3dApp::Mode::Update,
-                                        target.em3d);
-    } else {
-        app = makeWorkload(appName, ds, scale);
-    }
+    TargetMachine target = buildTarget(system, cfg);
+    const std::unique_ptr<BenchApp> app =
+        makeTargetApp(system, appName, ds, scale, 0.2, target);
 
     if (target.telemetry)
         target.telemetry->runBegin();

@@ -44,6 +44,28 @@ struct BenchCase
     std::uint64_t netRetransmits = 0; ///< 0 unless faults are on
 };
 
+/**
+ * One instrumented pass: the base grid re-run with one observer or a
+ * fault mix switched on (a row of bench_simcore's pass table). Its
+ * JSON object is "key" at the top level, or inside "group" when set,
+ * with events_per_sec_<tag>_on and slowdown_vs_<tag>_off against the
+ * base pass. A lossy-fabric pass (non-empty faults) also records its
+ * fault spec and retransmits.
+ */
+struct BenchPass
+{
+    std::string label;       ///< human name ("trace", "checker (fast)")
+    std::string group = {};  ///< enclosing JSON object ("" = top level)
+    std::string key;         ///< JSON key of this pass's object
+    std::string tag;         ///< <tag> of the rate and slowdown keys
+    std::string faults = {}; ///< fault spec ("" = lossless fabric)
+    std::uint64_t events = 0;
+    double wallMs = 0;
+    std::uint64_t retransmits = 0;
+
+    double eventsPerSec() const;
+};
+
 /** An aggregated report over a set of cases. */
 struct BenchReport
 {
@@ -52,68 +74,11 @@ struct BenchReport
     std::vector<BenchCase> cases;
 
     /**
-     * Coherence-sanitizer overhead (bench_simcore): the same grid
-     * re-run with the checker attached, once per mode (DESIGN.md
-     * §13). `fast` is the default shadow engine — the one the ≤4x
-     * always-on bound applies to; `paranoid` is the byte-granular
-     * oracle, recorded for reference. wall_ms == 0 means "not
-     * measured" and the JSON omits that half of the
-     * `checker_overhead_v2` entry.
+     * The instrumented passes over the same grid, in run order. A
+     * pass with wall_ms == 0 was not measured; the print and JSON
+     * skip it.
      */
-    double checkerFastWallMs = 0;
-    std::uint64_t checkerFastEvents = 0;
-    double checkerParanoidWallMs = 0;
-    std::uint64_t checkerParanoidEvents = 0;
-
-    /**
-     * Flight-recorder overhead: the same grid re-run with a recorder
-     * attached (rings + trace stream). Same "0 = not measured"
-     * convention as the checker entry.
-     */
-    double traceOnWallMs = 0;
-    std::uint64_t traceOnEvents = 0;
-
-    /**
-     * Sharing-analyzer overhead: the same grid re-run with the
-     * recorder attached and the analyzer folding every access
-     * (--analyze, DESIGN.md §11). Same "0 = not measured" convention.
-     */
-    double analyzeOnWallMs = 0;
-    std::uint64_t analyzeOnEvents = 0;
-
-    /**
-     * Transaction-tracer overhead: the same grid re-run with the
-     * coherence-transaction tracer folding the record stream
-     * (--trace-critical, DESIGN.md §14; implies the sharing
-     * analyzer). Must stay at or below the flight-recorder
-     * (`trace_overhead`) slowdown. Same "0 = not measured"
-     * convention.
-     */
-    double txnOnWallMs = 0;
-    std::uint64_t txnOnEvents = 0;
-
-    /**
-     * Reliable-transport-over-lossy-fabric overhead: the same grid
-     * re-run with a fault mix injected and the user-level transport
-     * repairing it (DESIGN.md §10). Unlike the checker/trace passes
-     * the simulated cycle counts legitimately differ (retransmission
-     * traffic is real); application checksums must still match.
-     * Same "0 = not measured" convention.
-     */
-    double transportOnWallMs = 0;
-    std::uint64_t transportOnEvents = 0;
-    std::uint64_t transportOnRetransmits = 0;
-    std::string transportFaultSpec;
-
-    /**
-     * Self-telemetry overhead (--telemetry, DESIGN.md §16): the same
-     * grid re-run with the telemetry module attached (memory probes +
-     * counter refresh). The bound is ≤1.05x — telemetry must be cheap
-     * enough to leave on in any measurement run. Same "0 = not
-     * measured" convention.
-     */
-    double telemetryOnWallMs = 0;
-    std::uint64_t telemetryOnEvents = 0;
+    std::vector<BenchPass> passes;
 
     /**
      * Per-subsystem resident-memory sweep (DESIGN.md §16): em3d/small
@@ -136,13 +101,8 @@ struct BenchReport
     std::uint64_t totalEvents() const;
     double totalWallMs() const;
     double eventsPerSec() const;
-    double checkerFastEventsPerSec() const;
-    double checkerParanoidEventsPerSec() const;
-    double traceOnEventsPerSec() const;
-    double analyzeOnEventsPerSec() const;
-    double txnOnEventsPerSec() const;
-    double transportOnEventsPerSec() const;
-    double telemetryOnEventsPerSec() const;
+    /** Base-pass events/sec over @p p's: above 1 means slower. */
+    double slowdown(const BenchPass& p) const;
 
     /** Pretty per-case table for humans. */
     void printTable(std::ostream& os) const;
@@ -166,8 +126,9 @@ struct BenchTelemetry
 };
 
 /**
- * Build the named target system, run @p app name on it, and wall-clock
- * the run. Systems follow the ttsim names; "update" requires em3d.
+ * Build the named target system, run @p appName on it, and wall-clock
+ * the run. Systems and apps go through buildTarget/makeTargetApp
+ * (EM3D at the default 20% remote edges); "update" requires em3d.
  * When @p telem is non-null and cfg.obs.telemetry is on, the memory
  * probe results are copied into it before the machine is destroyed.
  */

@@ -52,22 +52,52 @@ requireValid(const MachineConfig& cfg)
 namespace
 {
 
+/** The memory system and protocol a system name selects. */
+enum class Proto { DirNNB, Stache, Migratory, Update };
+
+/** buildTarget's table, in the order campaigns sweep the systems. */
+constexpr struct
+{
+    const char* name; ///< ttsim --system name
+    Proto proto;
+} kTargets[] = {
+    {"dirnnb", Proto::DirNNB},
+    {"stache", Proto::Stache},
+    {"migratory", Proto::Migratory},
+    {"update", Proto::Update},
+};
+
+Proto
+protoOf(const std::string& system)
+{
+    for (const auto& k : kTargets) {
+        if (system == k.name)
+            return k.proto;
+    }
+    tt_fatal("unknown system '", system, "'");
+}
+
 /**
- * Wire the sanitizer into a freshly built Typhoon/Stache-family
- * target: one checker observes the memory system, the protocol, and
- * the network. Perturbation of same-tick order is applied to the
+ * Wire the sanitizer into a freshly built target: one checker
+ * observes the memory system, the protocol (Typhoon targets), and the
+ * network. Perturbation of same-tick order is applied to the
  * machine's event queue here so callers only have to pick the queue
  * mode (ReferenceHeap) before building.
  */
 void
-attachCheckerTyphoon(TargetMachine& t, const CheckConfig& cc)
+attachChecker(TargetMachine& t, const CheckConfig& cc)
 {
     if (!cc.enable)
         return;
     t.checker = std::make_unique<ProtocolChecker>(*t.machine, cc.mode);
-    t.checker->attachTyphoon(*t.typhoon, *t.protocol);
-    t.typhoon->setChecker(t.checker.get());
-    t.protocol->setChecker(t.checker.get());
+    if (t.dir) {
+        t.checker->attachDirnnb(*t.dir);
+        t.dir->setChecker(t.checker.get());
+    } else {
+        t.checker->attachTyphoon(*t.typhoon, *t.protocol);
+        t.typhoon->setChecker(t.checker.get());
+        t.protocol->setChecker(t.checker.get());
+    }
     t.network->setChecker(t.checker.get());
     if (cc.perturb) {
         t.checker->setSeed(cc.perturbSeed);
@@ -142,9 +172,7 @@ attachRobustness(TargetMachine& t, const MachineConfig& cfg)
             t.machine->eq(), *t.network, cfg.reliable, stats);
         t.network->setTransport(t.transport.get());
     }
-    MemorySystem* ms = t.typhoon
-                           ? static_cast<MemorySystem*>(t.typhoon.get())
-                           : static_cast<MemorySystem*>(t.dir.get());
+    MemorySystem* ms = &t.machine->memsys();
     if (!cfg.faults.crashes.empty()) {
         // Crash-stop failures need the reliable transport: survivors
         // observe a crash through its dead-link declaration, and the
@@ -215,9 +243,7 @@ attachCheckpoint(TargetMachine& t, const MachineConfig& cfg)
               "--checkpoint requires a fault-free run");
     tt_assert(!t.recovery, "checkpoint and crash recovery both want "
                            "the barrier epoch hook");
-    MemorySystem* ms = t.typhoon
-                           ? static_cast<MemorySystem*>(t.typhoon.get())
-                           : static_cast<MemorySystem*>(t.dir.get());
+    MemorySystem* ms = &t.machine->memsys();
     t.checkpoint = std::make_unique<CheckpointManager>(
         *t.machine, *t.network, *ms, t.checker.get(),
         t.transport.get(), cfg.recovery.checkpointEpoch,
@@ -283,102 +309,113 @@ attachTelemetry(TargetMachine& t, const MachineConfig& cfg)
     t.telemetry->registerStats();
 }
 
+/**
+ * The one assembly routine behind every builder: machine, network,
+ * the memory system and protocol @p proto selects, then the optional
+ * layers in dependency order.
+ */
+TargetMachine
+assemble(const MachineConfig& cfg, Proto proto)
+{
+    requireValid(cfg);
+    TargetMachine t;
+    t.machine = std::make_unique<Machine>(cfg.core);
+    t.network = std::make_unique<Network>(
+        t.machine->eq(), cfg.core.nodes, cfg.net, t.machine->stats());
+    if (proto == Proto::DirNNB) {
+        t.dir = std::make_unique<DirMemSystem>(*t.machine, *t.network,
+                                               cfg.dir);
+        t.machine->setMemSystem(t.dir.get());
+    } else {
+        t.typhoon = std::make_unique<TyphoonMemSystem>(
+            *t.machine, *t.network, cfg.typhoon);
+        if (proto == Proto::Stache) {
+            t.protocol = std::make_unique<Stache>(*t.machine, *t.typhoon,
+                                                  cfg.stache);
+        } else if (proto == Proto::Migratory) {
+            auto p = std::make_unique<MigratoryProtocol>(
+                *t.machine, *t.typhoon, cfg.stache);
+            t.migratory = p.get();
+            t.protocol = std::move(p);
+        } else {
+            auto p = std::make_unique<Em3dUpdateProtocol>(
+                *t.machine, *t.typhoon, cfg.stache);
+            t.em3d = p.get();
+            t.protocol = std::move(p);
+        }
+        t.machine->setMemSystem(t.typhoon.get());
+    }
+    attachChecker(t, cfg.check);
+    attachObserver(t, cfg);
+    attachRobustness(t, cfg);
+    attachCheckpoint(t, cfg);
+    attachTelemetry(t, cfg);
+    return t;
+}
+
 } // namespace
 
 TargetMachine
 buildDirNNB(const MachineConfig& cfg)
 {
-    requireValid(cfg);
-    TargetMachine t;
-    t.machine = std::make_unique<Machine>(cfg.core);
-    t.network = std::make_unique<Network>(
-        t.machine->eq(), cfg.core.nodes, cfg.net, t.machine->stats());
-    t.dir = std::make_unique<DirMemSystem>(*t.machine, *t.network,
-                                           cfg.dir);
-    t.machine->setMemSystem(t.dir.get());
-    if (cfg.check.enable) {
-        t.checker = std::make_unique<ProtocolChecker>(*t.machine,
-                                                      cfg.check.mode);
-        t.checker->attachDirnnb(*t.dir);
-        t.dir->setChecker(t.checker.get());
-        t.network->setChecker(t.checker.get());
-        if (cfg.check.perturb) {
-            t.checker->setSeed(cfg.check.perturbSeed);
-            t.machine->eq().setPerturb(cfg.check.perturbSeed);
-        }
-    }
-    attachObserver(t, cfg);
-    attachRobustness(t, cfg);
-    attachCheckpoint(t, cfg);
-    attachTelemetry(t, cfg);
-    return t;
+    return assemble(cfg, Proto::DirNNB);
 }
 
 TargetMachine
 buildTyphoonStache(const MachineConfig& cfg)
 {
-    requireValid(cfg);
-    TargetMachine t;
-    t.machine = std::make_unique<Machine>(cfg.core);
-    t.network = std::make_unique<Network>(
-        t.machine->eq(), cfg.core.nodes, cfg.net, t.machine->stats());
-    t.typhoon = std::make_unique<TyphoonMemSystem>(
-        *t.machine, *t.network, cfg.typhoon);
-    t.protocol =
-        std::make_unique<Stache>(*t.machine, *t.typhoon, cfg.stache);
-    t.machine->setMemSystem(t.typhoon.get());
-    attachCheckerTyphoon(t, cfg.check);
-    attachObserver(t, cfg);
-    attachRobustness(t, cfg);
-    attachCheckpoint(t, cfg);
-    attachTelemetry(t, cfg);
-    return t;
+    return assemble(cfg, Proto::Stache);
 }
 
 TargetMachine
 buildTyphoonEm3dUpdate(const MachineConfig& cfg)
 {
-    requireValid(cfg);
-    TargetMachine t;
-    t.machine = std::make_unique<Machine>(cfg.core);
-    t.network = std::make_unique<Network>(
-        t.machine->eq(), cfg.core.nodes, cfg.net, t.machine->stats());
-    t.typhoon = std::make_unique<TyphoonMemSystem>(
-        *t.machine, *t.network, cfg.typhoon);
-    auto proto = std::make_unique<Em3dUpdateProtocol>(
-        *t.machine, *t.typhoon, cfg.stache);
-    t.em3d = proto.get();
-    t.protocol = std::move(proto);
-    t.machine->setMemSystem(t.typhoon.get());
-    attachCheckerTyphoon(t, cfg.check);
-    attachObserver(t, cfg);
-    attachRobustness(t, cfg);
-    attachCheckpoint(t, cfg);
-    attachTelemetry(t, cfg);
-    return t;
+    return assemble(cfg, Proto::Update);
 }
 
 TargetMachine
 buildTyphoonMigratory(const MachineConfig& cfg)
 {
-    requireValid(cfg);
-    TargetMachine t;
-    t.machine = std::make_unique<Machine>(cfg.core);
-    t.network = std::make_unique<Network>(
-        t.machine->eq(), cfg.core.nodes, cfg.net, t.machine->stats());
-    t.typhoon = std::make_unique<TyphoonMemSystem>(
-        *t.machine, *t.network, cfg.typhoon);
-    auto proto = std::make_unique<MigratoryProtocol>(
-        *t.machine, *t.typhoon, cfg.stache);
-    t.migratory = proto.get();
-    t.protocol = std::move(proto);
-    t.machine->setMemSystem(t.typhoon.get());
-    attachCheckerTyphoon(t, cfg.check);
-    attachObserver(t, cfg);
-    attachRobustness(t, cfg);
-    attachCheckpoint(t, cfg);
-    attachTelemetry(t, cfg);
-    return t;
+    return assemble(cfg, Proto::Migratory);
+}
+
+std::vector<std::string>
+targetSystems(const std::string& app)
+{
+    std::vector<std::string> names;
+    for (const auto& k : kTargets) {
+        if (k.proto != Proto::Update || app == "em3d")
+            names.push_back(k.name);
+    }
+    return names;
+}
+
+void
+requireTargetApp(const std::string& system, const std::string& app)
+{
+    if (protoOf(system) == Proto::Update && app != "em3d")
+        tt_fatal("system 'update' runs only em3d, not '", app, "'");
+}
+
+TargetMachine
+buildTarget(const std::string& system, const MachineConfig& cfg)
+{
+    return assemble(cfg, protoOf(system));
+}
+
+std::unique_ptr<BenchApp>
+makeTargetApp(const std::string& system, const std::string& app,
+              DataSet ds, int scale, double remoteFrac,
+              TargetMachine& target)
+{
+    requireTargetApp(system, app);
+    if (app != "em3d")
+        return makeWorkload(app, ds, scale);
+    const Em3dApp::Params p = em3dParams(ds, remoteFrac, scale);
+    if (!target.em3d)
+        return std::make_unique<Em3dApp>(p);
+    return std::make_unique<Em3dApp>(p, Em3dApp::Mode::Update,
+                                     target.em3d);
 }
 
 void

@@ -3,7 +3,9 @@
  * Machine assembly: one call builds a complete target system —
  * nodes, network, memory system, and protocol — for each of the
  * paper's configurations: the DirNNB baseline, Typhoon/Stache, and
- * Typhoon with the custom EM3D update protocol.
+ * Typhoon with the custom EM3D update or migratory protocol. The
+ * case factory (buildTarget, makeTargetApp) is the one place that
+ * maps a system name and an app name to a built machine and app.
  */
 
 #ifndef TT_CONFIG_BUILDERS_HH
@@ -14,6 +16,7 @@
 #include <string>
 #include <vector>
 
+#include "apps/workloads.hh"
 #include "check/protocol_checker.hh"
 #include "core/machine.hh"
 #include "core/transport.hh"
@@ -189,6 +192,38 @@ TargetMachine buildTyphoonEm3dUpdate(const MachineConfig& cfg = {});
 
 /** Typhoon running the migratory-sharing custom protocol. */
 TargetMachine buildTyphoonMigratory(const MachineConfig& cfg = {});
+
+/**
+ * The system names buildTarget accepts that can run @p app, in the
+ * order campaigns sweep them: dirnnb, stache, migratory, and update
+ * when @p app is em3d.
+ */
+std::vector<std::string> targetSystems(const std::string& app);
+
+/**
+ * tt_fatal (a user error) unless @p system names a target that can
+ * run @p app: an unknown system, or update with any app but em3d.
+ */
+void requireTargetApp(const std::string& system, const std::string& app);
+
+/**
+ * Build the target a system name (dirnnb | stache | migratory |
+ * update) selects; the only map from a name to a builder.
+ */
+TargetMachine buildTarget(const std::string& system,
+                          const MachineConfig& cfg);
+
+/**
+ * The app @p system runs on @p target: EM3D from em3dParams(@p ds,
+ * @p remoteFrac, @p scale), bound to target.em3d in update mode on the
+ * update system; every other app from makeWorkload. Fatal unless
+ * requireTargetApp(@p system, @p app) holds.
+ */
+std::unique_ptr<BenchApp> makeTargetApp(const std::string& system,
+                                        const std::string& app,
+                                        DataSet ds, int scale,
+                                        double remoteFrac,
+                                        TargetMachine& target);
 
 } // namespace tt
 

@@ -27,20 +27,6 @@ campaignSeed(std::uint64_t base, int i)
 namespace
 {
 
-TargetMachine
-buildSystem(const std::string& system, const MachineConfig& cfg)
-{
-    if (system == "dirnnb")
-        return buildDirNNB(cfg);
-    if (system == "stache")
-        return buildTyphoonStache(cfg);
-    if (system == "migratory")
-        return buildTyphoonMigratory(cfg);
-    if (system == "update")
-        return buildTyphoonEm3dUpdate(cfg);
-    tt_fatal("campaign: unknown system '", system, "'");
-}
-
 CampaignRun
 runOne(const CampaignConfig& cc, const std::string& system,
        std::uint64_t seed, int index)
@@ -56,15 +42,9 @@ runOne(const CampaignConfig& cc, const std::string& system,
     run.seed = seed;
     run.index = index;
 
-    TargetMachine target = buildSystem(system, cfg);
-    std::unique_ptr<BenchApp> app;
-    if (system == "update") {
-        app = std::make_unique<Em3dApp>(
-            em3dParams(cc.dataset, cc.remoteFrac, cc.scale),
-            Em3dApp::Mode::Update, target.em3d);
-    } else {
-        app = makeWorkload(cc.app, cc.dataset, cc.scale);
-    }
+    TargetMachine target = buildTarget(system, cfg);
+    const std::unique_ptr<BenchApp> app = makeTargetApp(
+        system, cc.app, cc.dataset, cc.scale, cc.remoteFrac, target);
 
     try {
         const RunResult r = target.run(*app);
@@ -182,6 +162,10 @@ runCampaign(const CampaignConfig& cc)
     rep.shardCount = cc.shardCount;
     rep.runs.reserve(cc.systems.size() *
                      static_cast<std::size_t>(cc.runs));
+    // Refuse a bad system list before the first run, not after the
+    // systems ahead of it.
+    for (const std::string& system : cc.systems)
+        requireTargetApp(system, cc.app);
 
     for (const std::string& system : cc.systems) {
         for (int i = 0; i < cc.runs; ++i) {

@@ -367,6 +367,28 @@ TEST(Em3dKernel, ValuesEvolveEveryIteration)
     EXPECT_TRUE(std::isfinite(cs1) && std::isfinite(cs2));
 }
 
+TEST(Em3dKernel, MoreNodesThanHalfTheGraphIsFatal)
+{
+    // Every node owns a share of both graph halves: 16 graph nodes
+    // give 8 E nodes, so 8 machine nodes run and 9 are a user error.
+    Em3dApp::Params p;
+    p.nNodes = 16;
+    p.degree = 2;
+    p.iterations = 1;
+    MachineConfig cfg;
+    cfg.core.nodes = 8;
+    {
+        auto t = buildDirNNB(cfg);
+        Em3dApp a(p);
+        t.run(a);
+        EXPECT_TRUE(std::isfinite(a.checksum()));
+    }
+    cfg.core.nodes = 9;
+    auto t = buildDirNNB(cfg);
+    Em3dApp a(p);
+    EXPECT_THROW(t.run(a), FatalError);
+}
+
 TEST(AppbtKernel, DeterministicAndFinite)
 {
     AppbtApp::Params p;

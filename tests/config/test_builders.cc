@@ -8,6 +8,9 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "apps/workloads.hh"
 #include "config/builders.hh"
@@ -53,6 +56,46 @@ TEST(Builders, AllFourTargetsRun)
         const RunResult r = t.run(app);
         EXPECT_GT(r.execTime, 0u) << "target " << which;
     }
+}
+
+TEST(Builders, BuildTargetCoversEverySystem)
+{
+    MachineConfig cfg;
+    cfg.core.nodes = 4;
+    struct Run
+    {
+        std::string memsys;
+        Tick cycles;
+        double checksum;
+    };
+    auto runOn = [](const std::string& system, TargetMachine t) {
+        const auto app =
+            makeTargetApp(system, "em3d", DataSet::Tiny, 1, 0.2, t);
+        const RunResult r = t.run(*app);
+        return Run{t.m().memsys().name(), r.execTime, app->checksum()};
+    };
+    const std::pair<const char*, TargetMachine (*)(const MachineConfig&)>
+        named[] = {{"dirnnb", buildDirNNB},
+                   {"stache", buildTyphoonStache},
+                   {"migratory", buildTyphoonMigratory},
+                   {"update", buildTyphoonEm3dUpdate}};
+    for (const auto& [system, build] : named) {
+        const Run a = runOn(system, buildTarget(system, cfg));
+        const Run b = runOn(system, build(cfg));
+        EXPECT_EQ(a.memsys, b.memsys) << system;
+        EXPECT_EQ(a.cycles, b.cycles) << system;
+        EXPECT_EQ(a.checksum, b.checksum) << system;
+    }
+    EXPECT_EQ(targetSystems("em3d"),
+              (std::vector<std::string>{"dirnnb", "stache", "migratory",
+                                        "update"}));
+    EXPECT_EQ(targetSystems("mp3d").size(), 3u);
+
+    EXPECT_THROW(buildTarget("nope", cfg), FatalError);
+    TargetMachine update = buildTarget("update", cfg);
+    EXPECT_THROW(
+        makeTargetApp("update", "mp3d", DataSet::Tiny, 1, 0.2, update),
+        FatalError);
 }
 
 TEST(Builders, TargetNamesIdentifyProtocol)

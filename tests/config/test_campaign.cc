@@ -91,6 +91,21 @@ TEST(Campaign, SameSeedCampaignIsByteIdentical)
     EXPECT_EQ(serialize(a), serialize(b));
 }
 
+TEST(Campaign, RemoteFractionReachesEverySystem)
+{
+    // --remote shapes the EM3D graph on every system, not only on
+    // the update protocol.
+    auto cyclesAt = [](double remoteFrac) {
+        CampaignConfig cc = smallCampaign();
+        cc.runs = 1;
+        cc.remoteFrac = remoteFrac;
+        const CampaignReport rep = runCampaign(cc);
+        EXPECT_TRUE(rep.allOk()) << serialize(rep);
+        return rep.runs.at(0).cycles;
+    };
+    EXPECT_NE(cyclesAt(0.4), cyclesAt(0.2));
+}
+
 TEST(Campaign, ShardUnionEqualsUnshardedCampaign)
 {
     // --campaign-shard=I/N: seeds derive from the run index, never

@@ -42,15 +42,9 @@ runOnce(const std::string& system, const std::string& app)
     MachineConfig cfg;
     cfg.core.nodes = 8;
 
-    TargetMachine target;
-    if (system == "dirnnb")
-        target = buildDirNNB(cfg);
-    else if (system == "stache")
-        target = buildTyphoonStache(cfg);
-    else
-        target = buildTyphoonMigratory(cfg);
-
-    auto a = makeWorkload(app, DataSet::Tiny, 1);
+    TargetMachine target = buildTarget(system, cfg);
+    const auto a =
+        makeTargetApp(system, app, DataSet::Tiny, 1, 0.2, target);
     const RunResult r = target.run(*a);
 
     RunRecord rec;

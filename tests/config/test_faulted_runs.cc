@@ -43,8 +43,7 @@ cutLinkTrip(const std::string& system)
     cfg.core.seed = 1;
     cfg.faults.cuts.push_back({0, 1});
     cfg.watchdog.horizon = 20'000;
-    TargetMachine t = system == "dirnnb" ? buildDirNNB(cfg)
-                                         : buildTyphoonStache(cfg);
+    TargetMachine t = buildTarget(system, cfg);
     auto app = makeWorkload("em3d", DataSet::Tiny, 1);
     Trip trip;
     try {

@@ -52,28 +52,12 @@ smallConfig()
     return cfg;
 }
 
-TargetMachine
-buildSystem(const std::string& system, const MachineConfig& cfg)
-{
-    if (system == "dirnnb")
-        return buildDirNNB(cfg);
-    if (system == "stache")
-        return buildTyphoonStache(cfg);
-    if (system == "migratory")
-        return buildTyphoonMigratory(cfg);
-    return buildTyphoonEm3dUpdate(cfg);
-}
-
 RunResult
 runEm3d(TargetMachine& t, const std::string& system)
 {
-    if (system == "update") {
-        Em3dApp app(em3dParams(DataSet::Tiny, 0.2, 8),
-                    Em3dApp::Mode::Update, t.em3d);
-        return t.run(app);
-    }
-    Em3dApp app(em3dParams(DataSet::Tiny, 0.2, 8));
-    return t.run(app);
+    const auto app =
+        makeTargetApp(system, "em3d", DataSet::Tiny, 8, 0.2, t);
+    return t.run(*app);
 }
 
 // --- ring / recorder units --------------------------------------------
@@ -192,7 +176,7 @@ TEST(ObsTrace, ByteIdenticalAcrossRunsAllSystems)
             MachineConfig cfg = smallConfig();
             cfg.obs.enable = true;
             cfg.obs.traceFile = tf.path;
-            TargetMachine t = buildSystem(system, cfg);
+            TargetMachine t = buildTarget(system, cfg);
             runEm3d(t, system);
             t.obs->finalize();
             const std::string bytes = slurp(tf.path);
@@ -209,7 +193,7 @@ TEST(ObsTrace, ByteIdenticalAcrossRunsAllSystems)
 TEST(ObsTrace, TracingDoesNotChangeSimulatedResults)
 {
     for (const char* system : {"dirnnb", "stache"}) {
-        TargetMachine bare = buildSystem(system, smallConfig());
+        TargetMachine bare = buildTarget(system, smallConfig());
         const RunResult r0 = runEm3d(bare, system);
 
         TempFile tf(std::string("obs_off_") + system + ".json");
@@ -217,7 +201,7 @@ TEST(ObsTrace, TracingDoesNotChangeSimulatedResults)
         cfg.obs.enable = true;
         cfg.obs.traceFile = tf.path;
         cfg.obs.samplePeriod = 1000;
-        TargetMachine traced = buildSystem(system, cfg);
+        TargetMachine traced = buildTarget(system, cfg);
         const RunResult r1 = runEm3d(traced, system);
 
         EXPECT_EQ(r0.execTime, r1.execTime) << system;

@@ -54,28 +54,12 @@ txnConfig()
     return cfg;
 }
 
-TargetMachine
-buildSystem(const std::string& system, const MachineConfig& cfg)
-{
-    if (system == "dirnnb")
-        return buildDirNNB(cfg);
-    if (system == "stache")
-        return buildTyphoonStache(cfg);
-    if (system == "migratory")
-        return buildTyphoonMigratory(cfg);
-    return buildTyphoonEm3dUpdate(cfg);
-}
-
 RunResult
 runEm3d(TargetMachine& t, const std::string& system)
 {
-    if (system == "update") {
-        Em3dApp app(em3dParams(DataSet::Tiny, 0.2, 8),
-                    Em3dApp::Mode::Update, t.em3d);
-        return t.run(app);
-    }
-    Em3dApp app(em3dParams(DataSet::Tiny, 0.2, 8));
-    return t.run(app);
+    const auto app =
+        makeTargetApp(system, "em3d", DataSet::Tiny, 8, 0.2, t);
+    return t.run(*app);
 }
 
 // --- end-to-end spans + the partition identity ------------------------
@@ -84,7 +68,7 @@ TEST(ObsTxn, SpansCoverAllSystemsAndPartitionSumsToWall)
 {
     for (const char* system :
          {"dirnnb", "stache", "migratory", "update"}) {
-        TargetMachine t = buildSystem(system, txnConfig());
+        TargetMachine t = buildTarget(system, txnConfig());
         runEm3d(t, system);
         t.obs->finalize();
 
@@ -120,7 +104,7 @@ TEST(ObsTxn, SpansCoverAllSystemsAndPartitionSumsToWall)
 
 TEST(ObsTxn, StatsCountersMatchSummary)
 {
-    TargetMachine t = buildSystem("stache", txnConfig());
+    TargetMachine t = buildTarget("stache", txnConfig());
     runEm3d(t, "stache");
     t.obs->finalize();
     const TxnTracer::Summary s = t.obs->txn()->summarize();
@@ -145,7 +129,7 @@ TEST(ObsTxn, StatsCountersMatchSummary)
 
 TEST(ObsTxn, Em3dWallTimeIsDominatedByProducerConsumer)
 {
-    TargetMachine t = buildSystem("stache", txnConfig());
+    TargetMachine t = buildTarget("stache", txnConfig());
     runEm3d(t, "stache");
     t.obs->finalize();
     const TxnTracer& tx = *t.obs->txn();
@@ -170,7 +154,7 @@ faultyConfig()
 
 TEST(ObsTxn, RetransmitsAndSuppressionsLinkToTheirTransaction)
 {
-    TargetMachine t = buildSystem("stache", faultyConfig());
+    TargetMachine t = buildTarget("stache", faultyConfig());
     runEm3d(t, "stache");
     t.obs->finalize();
 
@@ -219,7 +203,7 @@ TEST(ObsTxn, FaultFreeRunCarriesNoFaultArtifacts)
     // Negative control: with faults off, the record stream contains
     // no retransmit/drop flags and no suppressed arrivals, so the
     // trace is identical to one taken before loss repair existed.
-    TargetMachine t = buildSystem("stache", txnConfig());
+    TargetMachine t = buildTarget("stache", txnConfig());
     runEm3d(t, "stache");
     t.obs->finalize();
     for (NodeId n = 0; n < t.obs->nodes(); ++n) {
@@ -241,7 +225,7 @@ TEST(ObsTxn, ReportAndJsonAreByteDeterministic)
 {
     std::string report0, json0;
     for (int run = 0; run < 2; ++run) {
-        TargetMachine t = buildSystem("stache", faultyConfig());
+        TargetMachine t = buildTarget("stache", faultyConfig());
         runEm3d(t, "stache");
         t.obs->finalize();
         std::ostringstream rep, js;
@@ -262,10 +246,10 @@ TEST(ObsTxn, TracingDoesNotChangeSimulatedResults)
 {
     MachineConfig bareCfg;
     bareCfg.core.nodes = 8;
-    TargetMachine bare = buildSystem("stache", bareCfg);
+    TargetMachine bare = buildTarget("stache", bareCfg);
     const RunResult r0 = runEm3d(bare, "stache");
 
-    TargetMachine traced = buildSystem("stache", txnConfig());
+    TargetMachine traced = buildTarget("stache", txnConfig());
     const RunResult r1 = runEm3d(traced, "stache");
     EXPECT_EQ(r0.execTime, r1.execTime);
     EXPECT_EQ(r0.events, r1.events);
@@ -281,7 +265,7 @@ TEST(ObsTxn, TxnOffTraceFileHasNoTransactionArtifacts)
     cfg.core.nodes = 8;
     cfg.obs.enable = true;
     cfg.obs.traceFile = tf.path;
-    TargetMachine t = buildSystem("stache", cfg);
+    TargetMachine t = buildTarget("stache", cfg);
     runEm3d(t, "stache");
     t.obs->finalize();
     const std::string bytes = slurp(tf.path);
@@ -299,7 +283,7 @@ TEST(ObsTxn, TxnOnTraceFileIsByteDeterministicWithFlows)
         MachineConfig cfg = txnConfig();
         cfg.obs.enable = true;
         cfg.obs.traceFile = tf.path;
-        TargetMachine t = buildSystem("stache", cfg);
+        TargetMachine t = buildTarget("stache", cfg);
         runEm3d(t, "stache");
         t.obs->finalize();
         const std::string bytes = slurp(tf.path);

@@ -32,33 +32,10 @@ constexpr const char* kSystems[] = {"dirnnb", "stache", "migratory",
                                     "update"};
 constexpr std::uint64_t kFp = 0x7357F00D;
 
-TargetMachine
-buildSystem(const std::string& system, const MachineConfig& cfg)
-{
-    if (system == "dirnnb")
-        return buildDirNNB(cfg);
-    if (system == "stache")
-        return buildTyphoonStache(cfg);
-    if (system == "migratory")
-        return buildTyphoonMigratory(cfg);
-    return buildTyphoonEm3dUpdate(cfg);
-}
-
-std::unique_ptr<Em3dApp>
+std::unique_ptr<BenchApp>
 mkApp(const std::string& system, TargetMachine& t)
 {
-    const Em3dApp::Params p = em3dParams(DataSet::Tiny, 0.2, 1);
-    if (system == "update")
-        return std::make_unique<Em3dApp>(p, Em3dApp::Mode::Update,
-                                         t.em3d);
-    return std::make_unique<Em3dApp>(p);
-}
-
-MemorySystem*
-memsysOf(TargetMachine& t)
-{
-    return t.typhoon ? static_cast<MemorySystem*>(t.typhoon.get())
-                     : static_cast<MemorySystem*>(t.dir.get());
+    return makeTargetApp(system, "em3d", DataSet::Tiny, 1, 0.2, t);
 }
 
 struct RunRec
@@ -69,7 +46,7 @@ struct RunRec
 };
 
 RunRec
-record(TargetMachine& t, const Em3dApp& app, const RunResult& r)
+record(TargetMachine& t, const BenchApp& app, const RunResult& r)
 {
     RunRec rec;
     rec.cycles = r.execTime;
@@ -91,7 +68,7 @@ runCheckpointing(const std::string& system, const std::string& file,
     cfg.recovery.checkpointEpoch = epoch;
     cfg.recovery.checkpointFile = file;
     cfg.recovery.fingerprint = kFp;
-    TargetMachine t = buildSystem(system, cfg);
+    TargetMachine t = buildTarget(system, cfg);
     auto app = mkApp(system, t);
     const RunResult r = t.run(*app);
     EXPECT_NE(t.checkpoint, nullptr) << system;
@@ -107,12 +84,12 @@ runRestored(const std::string& system, const std::string& file,
     MachineConfig cfg;
     cfg.core.nodes = 8;
     cfg.check.enable = check;
-    TargetMachine t = buildSystem(system, cfg);
+    TargetMachine t = buildTarget(system, cfg);
     auto app = mkApp(system, t);
     const Snapshot snap = loadSnapshot(file);
     EXPECT_EQ(snap.fingerprint, kFp) << system;
     const Machine::RestartPlan plan = restorePlan(
-        snap, t.m(), *t.network, *memsysOf(t), t.checker.get());
+        snap, t.m(), *t.network, t.m().memsys(), t.checker.get());
     const RunResult r = t.run(*app, plan);
     return record(t, *app, r);
 }

@@ -26,26 +26,10 @@ namespace
 constexpr const char* kSystems[] = {"dirnnb", "stache", "migratory",
                                     "update"};
 
-TargetMachine
-buildSystem(const std::string& system, const MachineConfig& cfg)
-{
-    if (system == "dirnnb")
-        return buildDirNNB(cfg);
-    if (system == "stache")
-        return buildTyphoonStache(cfg);
-    if (system == "migratory")
-        return buildTyphoonMigratory(cfg);
-    return buildTyphoonEm3dUpdate(cfg);
-}
-
-std::unique_ptr<Em3dApp>
+std::unique_ptr<BenchApp>
 mkApp(const std::string& system, TargetMachine& t)
 {
-    const Em3dApp::Params p = em3dParams(DataSet::Tiny, 0.2, 1);
-    if (system == "update")
-        return std::make_unique<Em3dApp>(p, Em3dApp::Mode::Update,
-                                         t.em3d);
-    return std::make_unique<Em3dApp>(p);
+    return makeTargetApp(system, "em3d", DataSet::Tiny, 1, 0.2, t);
 }
 
 struct Baseline
@@ -61,7 +45,7 @@ baselineOf(const std::string& system)
     MachineConfig cfg;
     cfg.core.nodes = 8;
     cfg.check.enable = true;
-    TargetMachine t = buildSystem(system, cfg);
+    TargetMachine t = buildTarget(system, cfg);
     auto app = mkApp(system, t);
     const RunResult r = t.run(*app);
     return {r.execTime, app->checksum()};
@@ -85,7 +69,7 @@ TEST(Recovery, CrashMidRunRecoversOnAllSystems)
         ASSERT_GT(base.cycles, 0u) << system;
 
         TargetMachine t =
-            buildSystem(system, crashConfig(base.cycles / 2, 2));
+            buildTarget(system, crashConfig(base.cycles / 2, 2));
         ASSERT_NE(t.recovery, nullptr) << system;
         auto app = mkApp(system, t);
         const RunResult r = t.run(*app);
@@ -113,7 +97,7 @@ TEST(Recovery, SecondCrashDuringOutageIsUnrecoverable)
     MachineConfig cfg = crashConfig(mid, 2);
     cfg.faults.crashes.emplace_back(mid + 1000, 3);
 
-    TargetMachine t = buildSystem("stache", cfg);
+    TargetMachine t = buildTarget("stache", cfg);
     auto app = mkApp("stache", t);
     // The throw unwinds out of run() abandoning suspended coroutine
     // frames by design.
@@ -129,7 +113,7 @@ TEST(Recovery, CrashAfterAppFinishIsIgnored)
     // The crash tick lands far past the application's end; the event
     // still fires in the final queue drain and must be a no-op.
     TargetMachine t =
-        buildSystem("dirnnb", crashConfig(base.cycles * 4, 2));
+        buildTarget("dirnnb", crashConfig(base.cycles * 4, 2));
     auto app = mkApp("dirnnb", t);
     // (No exec-time comparison: the crash-configured build carries
     // the reliable transport, whose charged acks shift timing even
@@ -150,7 +134,7 @@ TEST(Recovery, CrashRecoveryComposesWithMessageFaults)
     cfg.faults.drop = 0.002;
     cfg.faults.dup = 0.002;
 
-    TargetMachine t = buildSystem("stache", cfg);
+    TargetMachine t = buildTarget("stache", cfg);
     auto app = mkApp("stache", t);
     t.run(*app);
     EXPECT_EQ(t.recovery->crashesInjected(), 1u);

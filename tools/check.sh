@@ -53,7 +53,8 @@
 #      lines and obs.telemetry.* counters (zero probe effect); then
 #      the bench_diff perf gate: the committed BENCH_simcore.json
 #      passes against itself, a synthetically slowed copy fails, and
-#      a fresh reduced-grid measurement stays within tolerance.
+#      a fresh reduced-grid measurement keeps the committed report's
+#      key structure and stays within tolerance.
 #
 # Usage: tools/check.sh [--skip-asan] [--skip-tidy]
 set -euo pipefail
@@ -430,9 +431,27 @@ EOF
 TT_APPS=em3d TT_FOOTPRINT_NODES=32 TT_TELEMETRY_BOUND=1.5 \
     TT_BENCH_JSON="$TRACEDIR/bench.fresh.json" \
     build/bench/bench_simcore > "$TRACEDIR/bench.fresh.txt"
+# The report writer is table-driven; it must keep the committed
+# report's shape: the ordered keys of every object, with one element
+# standing for each list (one case, one footprint entry).
+python3 - BENCH_simcore.json "$TRACEDIR/bench.fresh.json" <<'EOF'
+import json, sys
+def keys(v, path="$"):
+    if isinstance(v, dict):
+        yield path, list(v)
+        for k, x in v.items():
+            yield from keys(x, f"{path}.{k}")
+    elif isinstance(v, list) and v:
+        yield from keys(v[0], f"{path}[0]")
+base, fresh = (dict(keys(json.load(open(f)))) for f in sys.argv[1:])
+bad = sorted(p for p in base.keys() | fresh.keys()
+             if base.get(p) != fresh.get(p))
+assert not bad, f"bench report key structure drifted at {bad}"
+EOF
 "$BENCH_DIFF" "$TRACEDIR/bench.baseline.reduced.json" \
     "$TRACEDIR/bench.fresh.json" --tol-evsec=0.5 --tol-mem=0.25
-echo "--- perf gate: self-check, synthetic teeth, fresh reduced grid OK"
+echo "--- perf gate: self-check, synthetic teeth, fresh reduced grid" \
+    "(structure + tolerance) OK"
 
 echo
 echo "check.sh: all gates passed"

@@ -19,6 +19,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <iostream>
+#include <optional>
 #include <string>
 
 #include <fstream>
@@ -72,8 +73,8 @@ struct Options
     std::string faults;          ///< --faults=SPEC (fault_model.hh)
     bool noReliable = false;     ///< face the raw lossy fabric
     Tick horizon = 0;            ///< watchdog horizon (0 = default)
-    Tick rto = 0;                ///< transport initial RTO (0 = default)
-    int retries = 0;             ///< transport retry cap (0 = default)
+    std::optional<long long> rto;  ///< transport initial RTO (ticks)
+    std::optional<int> retries;    ///< transport retry cap
     int campaign = 0;            ///< seeds per system (0 = single run)
     std::string campaignJson;    ///< campaign report path
     std::string systems;         ///< campaign system list (csv)
@@ -148,8 +149,10 @@ usage()
         " control)\n"
         "  --horizon=N       watchdog horizon in ticks (default"
         " 100000)\n"
-        "  --rto=N           transport initial retransmit timeout\n"
-        "  --retries=N       transport retry cap before dead-link\n"
+        "  --rto=N           transport initial retransmit timeout"
+        " (ticks, >= 1)\n"
+        "  --retries=N       transport retry cap before dead-link"
+        " (>= 1)\n"
         "  --campaign=N      sweep N derived fault seeds per system"
         " (needs --faults)\n"
         "  --campaign-json=F write the campaign report to F\n"
@@ -241,7 +244,7 @@ parseArg(Options& o, const std::string& arg)
     } else if (eat("--horizon=", &v)) {
         o.horizon = std::strtoull(v.c_str(), nullptr, 0);
     } else if (eat("--rto=", &v)) {
-        o.rto = std::strtoull(v.c_str(), nullptr, 0);
+        o.rto = std::strtoll(v.c_str(), nullptr, 0);
     } else if (eat("--retries=", &v)) {
         o.retries = std::atoi(v.c_str());
     } else if (eat("--campaign=", &v)) {
@@ -336,6 +339,10 @@ validateOptions(const Options& o, const MachineConfig& cfg)
         die("--faults needs a seeded run: put seed=N in the spec or "
             "pass --seed=N");
     }
+    if (o.rto && *o.rto < 1)
+        die("--rto wants a timeout of at least 1 tick");
+    if (o.retries && *o.retries < 1)
+        die("--retries wants a cap of at least 1");
     if (o.jitterSet && !o.perturb)
         die("--jitter only modifies --perturb runs");
     if (o.traceSample && o.traceFile.empty())
@@ -524,11 +531,12 @@ run(int argc, char** argv)
         }
         cfg.reliable.enable = !o.noReliable;
         if (o.rto) {
-            cfg.reliable.rto = o.rto;
-            cfg.reliable.rtoMax = std::max(cfg.reliable.rtoMax, o.rto);
+            cfg.reliable.rto = static_cast<Tick>(*o.rto);
+            cfg.reliable.rtoMax =
+                std::max(cfg.reliable.rtoMax, cfg.reliable.rto);
         }
         if (o.retries)
-            cfg.reliable.maxRetries = o.retries;
+            cfg.reliable.maxRetries = *o.retries;
         if (o.horizon)
             cfg.watchdog.horizon = o.horizon;
         if (!cfg.faults.crashes.empty() && o.app != "em3d") {
@@ -561,9 +569,7 @@ run(int argc, char** argv)
         cc.shardIndex = o.shardIndex;
         cc.shardCount = o.shardCount;
         if (o.systems.empty()) {
-            cc.systems = {"dirnnb", "stache", "migratory"};
-            if (o.app == "em3d")
-                cc.systems.push_back("update");
+            cc.systems = targetSystems(o.app);
         } else {
             std::size_t pos = 0;
             while (pos <= o.systems.size()) {
@@ -578,10 +584,6 @@ run(int argc, char** argv)
             if (cc.systems.empty())
                 tt_fatal("--systems: no systems named");
         }
-        for (const auto& s : cc.systems)
-            if (s == "update" && o.app != "em3d")
-                tt_fatal("campaign system 'update' supports only "
-                         "--app=em3d");
 
         std::printf("campaign: %d seeds x %zu systems, faults=%s%s",
                     cc.runs, cc.systems.size(), o.faults.c_str(),
@@ -620,35 +622,10 @@ run(int argc, char** argv)
         return rep.allOk() ? 0 : 4;
     }
 
-    TargetMachine target;
-    std::unique_ptr<BenchApp> app;
     const DataSet ds = parseDataSet(o.dataset);
-
-    if (o.system == "dirnnb") {
-        target = buildDirNNB(cfg);
-    } else if (o.system == "stache") {
-        target = buildTyphoonStache(cfg);
-    } else if (o.system == "migratory") {
-        target = buildTyphoonMigratory(cfg);
-    } else if (o.system == "update") {
-        if (o.app != "em3d")
-            tt_fatal("--system=update supports only --app=em3d");
-        target = buildTyphoonEm3dUpdate(cfg);
-    } else {
-        tt_fatal("unknown system: ", o.system);
-    }
-
-    if (o.system == "update") {
-        Em3dApp::Params p =
-            em3dParams(ds, o.remotePct / 100.0, o.scale);
-        app = std::make_unique<Em3dApp>(p, Em3dApp::Mode::Update,
-                                        target.em3d);
-    } else if (o.app == "em3d") {
-        app = std::make_unique<Em3dApp>(
-            em3dParams(ds, o.remotePct / 100.0, o.scale));
-    } else {
-        app = makeWorkload(o.app, ds, o.scale);
-    }
+    TargetMachine target = buildTarget(o.system, cfg);
+    const std::unique_ptr<BenchApp> app = makeTargetApp(
+        o.system, o.app, ds, o.scale, o.remotePct / 100.0, target);
 
     std::printf("ttsim: %s on %s, %d nodes, %d KB cache, %dB blocks, "
                 "dataset=%s scale=1/%d\n",
@@ -672,12 +649,8 @@ run(int argc, char** argv)
                      "configuration; rerun with the checkpointing "
                      "run's flags");
         }
-        MemorySystem* ms =
-            target.typhoon
-                ? static_cast<MemorySystem*>(target.typhoon.get())
-                : static_cast<MemorySystem*>(target.dir.get());
         plan = restorePlan(snap, *target.machine, *target.network,
-                           *ms, target.checker.get());
+                           target.m().memsys(), target.checker.get());
         restored = true;
         std::printf("restore        : %s (epoch %llu, tick %llu)\n",
                     o.restoreFile.c_str(),

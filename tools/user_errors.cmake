@@ -1,6 +1,6 @@
 # Table-driven exit-code check for ttsim user errors (README exit-code
 # table): every row must exit with status 2, not a signal, and leave a
-# message on stderr.
+# message on stderr. A row is one or more space-separated arguments.
 #
 #   cmake -DTTSIM=path/to/ttsim -DMISSING=path/that/does/not/exist \
 #         -P tools/user_errors.cmake
@@ -12,7 +12,7 @@ set(cases
     "--dataset=huge"
     "--app=nope"
     "--system=nope"
-    "--restore=${MISSING}"
+    "--restore='${MISSING}'"
     "--threads=4"
     "--bench-json=x.json"
     "--trace-sample=100"
@@ -21,11 +21,15 @@ set(cases
     "--block=33"
     "--block=0"
     "--block=4"
-    "--cache-kb=0")
+    "--cache-kb=0"
+    "--nodes=1025"
+    "--faults=drop=0.1,seed=1 --rto=-1"
+    "--faults=drop=0.1,seed=1 --retries=-3")
 
 set(failed 0)
 foreach(arg IN LISTS cases)
-    execute_process(COMMAND ${TTSIM} ${small} ${arg}
+    separate_arguments(args UNIX_COMMAND "${arg}")
+    execute_process(COMMAND ${TTSIM} ${small} ${args}
                     RESULT_VARIABLE rc
                     OUTPUT_QUIET
                     ERROR_VARIABLE err)
