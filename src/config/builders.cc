@@ -36,6 +36,24 @@ MachineConfig::validate() const
                        "-byte cache holds no " +
                        std::to_string(c.cacheAssoc) + "-way set of " +
                        std::to_string(c.blockSize) + "-byte blocks");
+    const auto outside = [&](NodeId n) { return n < 0 || n >= c.nodes; };
+    const std::string range =
+        " names a node outside [0, " + std::to_string(c.nodes) + ")";
+    for (const auto& [tick, n] : faults.crashes) {
+        if (outside(n))
+            errs.push_back("fault crash@" + std::to_string(tick) + ":" +
+                           std::to_string(n) + range);
+    }
+    for (const auto& [a, b] : faults.cuts) {
+        if (!outside(a) && !outside(b))
+            continue;
+        // cut=A-B is stored as both directions; report it once.
+        const std::string e = "fault cut=" +
+                              std::to_string(std::min(a, b)) + "-" +
+                              std::to_string(std::max(a, b)) + range;
+        if (errs.empty() || errs.back() != e)
+            errs.push_back(e);
+    }
     return errs;
 }
 
@@ -136,12 +154,9 @@ attachObserver(TargetMachine& t, const MachineConfig& cfg)
         t.obs->openTrace(oc.traceFile);
     if (oc.samplePeriod > 0)
         t.obs->enableSampler(t.machine->stats(), oc.samplePeriod);
-    if (oc.analyze || oc.txn) {
-        // --trace-critical implies the sharing analyzer: the
-        // critical-path report joins per-transaction latency against
-        // its per-block pattern classification (DESIGN.md §14).
+    if (oc.analyze)
         t.obs->enableSharing(cfg.core.blockSize, cfg.core.pageSize);
-    }
+    // The tracer attaches the analyzer itself when --analyze did not.
     if (oc.txn)
         t.obs->enableTxn(t.machine->stats(), cfg.core.blockSize,
                          cfg.core.pageSize);
@@ -416,6 +431,65 @@ makeTargetApp(const std::string& system, const std::string& app,
         return std::make_unique<Em3dApp>(p);
     return std::make_unique<Em3dApp>(p, Em3dApp::Mode::Update,
                                      target.em3d);
+}
+
+TargetRun
+runTarget(TargetMachine& target, BenchApp& app,
+          const Machine::RestartPlan* plan)
+{
+    TargetRun run;
+    if (target.telemetry)
+        target.telemetry->runBegin();
+    try {
+        run.result = target.machine->run(app, plan);
+        run.checksum = app.checksum();
+        run.outcome = "ok";
+    } catch (const FatalError&) {
+        throw;
+    } catch (const UnrecoverableCrash& e) {
+        // A crash the coordinator could not absorb (double failure,
+        // single-node machine, crash mid-recovery).
+        run.outcome = "unrecoverable";
+        run.detail = e.what();
+    } catch (const WatchdogTimeout& e) {
+        // The on-trip hook already dumped the flight-recorder tail.
+        run.outcome = "watchdog";
+        run.detail = e.what();
+    } catch (const std::logic_error& e) {
+        // tt_panic or tt_assert — notably Machine::run's drained-queue
+        // protocol deadlock, the expected failure shape when lost
+        // messages are never repaired (the --no-reliable negative
+        // control), or an injected protocol bug tripping an invariant.
+        run.outcome = "panic";
+        run.detail = e.what();
+    } catch (const std::exception& e) {
+        run.outcome = "error";
+        run.detail = e.what();
+    }
+    if (target.telemetry)
+        target.telemetry->runEnd();
+
+    if (target.checker) {
+        // finalize() runs the quiescence/conservation checks; on an
+        // aborted run they would report the in-flight state of the
+        // abort itself, so only a completed run is finalized.
+        if (run.outcome == "ok")
+            target.checker->finalize();
+        const auto& v = target.checker->violations();
+        if (!v.empty()) {
+            if (run.outcome == "ok")
+                run.outcome = "violation";
+            if (run.detail.empty())
+                run.detail = v.front().invariant;
+        }
+    }
+    if (target.recovery)
+        target.recovery->finalizeStats();
+    // Completed transactions have full span data even when the run
+    // aborted, so the recorder's critical-path join is always safe.
+    if (target.obs)
+        target.obs->finalize();
+    return run;
 }
 
 void

@@ -121,7 +121,8 @@ struct MachineConfig
     /**
      * Every machine-geometry error in this configuration, one message
      * each; empty when the machine can be built. Node counts need not
-     * be powers of two; block and cache sizes must be.
+     * be powers of two; block and cache sizes must be. A crash@ or
+     * cut= fault must name nodes of this machine.
      */
     std::vector<std::string> validate() const;
 };
@@ -224,6 +225,28 @@ std::unique_ptr<BenchApp> makeTargetApp(const std::string& system,
                                         DataSet ds, int scale,
                                         double remoteFrac,
                                         TargetMachine& target);
+
+/** How one run of a target ended (runTarget). */
+struct TargetRun
+{
+    /// ok|violation|watchdog|panic|error|unrecoverable
+    std::string outcome;
+    std::string detail;   ///< the abort's message, or the first violation
+    RunResult result;     ///< zero unless the app completed
+    double checksum = 0;  ///< 0 unless the app completed
+};
+
+/**
+ * The one run lifecycle, behind ttsim's single run (--restore
+ * included) and every campaign run: run @p app on @p target, from
+ * @p plan when given, between the telemetry probes; sort the ending
+ * into an outcome class; then finalize in one fixed order — the
+ * checker (after a completed run only), the recovery stats, the
+ * recorder. A FatalError is a user error, not an outcome, and
+ * propagates.
+ */
+TargetRun runTarget(TargetMachine& target, BenchApp& app,
+                    const Machine::RestartPlan* plan = nullptr);
 
 } // namespace tt
 

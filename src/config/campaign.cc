@@ -7,7 +7,6 @@
 #include "obs/recorder.hh"
 #include "recovery/coordinator.hh"
 #include "sim/logging.hh"
-#include "sim/watchdog.hh"
 
 namespace tt
 {
@@ -46,45 +45,13 @@ runOne(const CampaignConfig& cc, const std::string& system,
     const std::unique_ptr<BenchApp> app = makeTargetApp(
         system, cc.app, cc.dataset, cc.scale, cc.remoteFrac, target);
 
-    try {
-        const RunResult r = target.run(*app);
-        run.cycles = r.execTime;
-        run.checksum = app->checksum();
-        run.outcome = "ok";
-    } catch (const UnrecoverableCrash& e) {
-        // A crash the coordinator could not absorb (double failure,
-        // single-node machine, crash mid-recovery) — ttsim exit 5.
-        run.outcome = "unrecoverable";
-        run.detail = e.what();
-    } catch (const WatchdogTimeout& e) {
-        run.outcome = "watchdog";
-        run.detail = e.what();
-    } catch (const std::logic_error& e) {
-        // tt_panic — notably Machine::run's drained-queue protocol
-        // deadlock, the expected failure shape when lost messages are
-        // never repaired (the --no-reliable negative control).
-        run.outcome = "panic";
-        run.detail = e.what();
-    } catch (const std::exception& e) {
-        run.outcome = "error";
-        run.detail = e.what();
-    }
-
-    if (target.checker) {
-        // finalize() runs the quiescence/conservation checks; on an
-        // aborted run they would report the in-flight state of the
-        // abort itself, so only a completed run is finalized.
-        if (run.outcome == "ok")
-            target.checker->finalize();
+    const TargetRun tr = runTarget(target, *app);
+    run.outcome = tr.outcome;
+    run.detail = tr.detail;
+    run.cycles = tr.result.execTime;
+    run.checksum = tr.checksum;
+    if (target.checker)
         run.violations = target.checker->violations().size();
-        if (run.violations) {
-            if (run.outcome == "ok")
-                run.outcome = "violation";
-            if (run.detail.empty())
-                run.detail =
-                    target.checker->violations().front().invariant;
-        }
-    }
 
     const StatSet& stats = target.machine->stats();
     if (target.faults)
@@ -96,7 +63,6 @@ runOne(const CampaignConfig& cc, const std::string& system,
     run.deadLinks = stats.get("net.dead_links");
     run.watchdogTrips = stats.get("obs.watchdog.trips");
     if (target.recovery) {
-        target.recovery->finalizeStats();
         run.crashesInjected = target.recovery->crashesInjected();
         run.recoveries = target.recovery->recoveriesDone();
     }
@@ -111,9 +77,6 @@ runOne(const CampaignConfig& cc, const std::string& system,
         run.dominantPattern = sharePatternKey(s.dominant());
     }
     if (target.obs && target.obs->txn()) {
-        // Completed transactions have full span data even when the run
-        // itself aborted, so the critical-path join is always safe.
-        target.obs->finalize();
         TxnTracer& tx = *target.obs->txn();
         const TxnTracer::Summary s = tx.summarize();
         run.txnOpened = s.opened;
@@ -162,8 +125,9 @@ runCampaign(const CampaignConfig& cc)
     rep.shardCount = cc.shardCount;
     rep.runs.reserve(cc.systems.size() *
                      static_cast<std::size_t>(cc.runs));
-    // Refuse a bad system list before the first run, not after the
-    // systems ahead of it.
+    // Refuse a bad machine or system list before the first run, not
+    // after the systems ahead of it.
+    requireValid(cc.base);
     for (const std::string& system : cc.systems)
         requireTargetApp(system, cc.app);
 

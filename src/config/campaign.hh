@@ -11,13 +11,18 @@
  * and the report contains no timestamps, so the same (seed, faults,
  * systems, workload) campaign is byte-identical across invocations.
  *
- * Each run is classified as one of:
- *   ok        — app completed, checker clean, no watchdog trip
- *   violation — app completed but the sanitizer found violations
- *   watchdog  — the progress watchdog tripped (WatchdogTimeout)
- *   panic     — tt_panic fired (e.g. Machine::run's drained-queue
- *               protocol deadlock), caught and recorded
- *   error     — any other exception escaped the run
+ * Each run goes through runTarget (config/builders.hh) and is
+ * classified as one of:
+ *   ok            — app completed, checker clean, no watchdog trip
+ *   violation     — app completed but the sanitizer found violations
+ *   watchdog      — the progress watchdog tripped (WatchdogTimeout)
+ *   panic         — tt_panic or tt_assert fired (e.g. Machine::run's
+ *                   drained-queue protocol deadlock), caught and
+ *                   recorded
+ *   error         — any other exception escaped the run
+ *   unrecoverable — a crash the recovery protocol could not absorb
+ * A user error (FatalError, e.g. a data set too small for the
+ * machine) is not an outcome: it ends the whole campaign.
  *
  * The headline acceptance criterion: with the reliable transport on,
  * a drop+dup+reorder campaign is all-ok; with --no-reliable the same
@@ -127,7 +132,10 @@ struct CampaignReport
 /** Derive the i-th run seed from the campaign base seed (SplitMix64). */
 std::uint64_t campaignSeed(std::uint64_t base, int i);
 
-/** Run the whole campaign. Never throws for per-run failures. */
+/**
+ * Run the whole campaign. Never throws for per-run failures; a user
+ * error (FatalError) propagates.
+ */
 CampaignReport runCampaign(const CampaignConfig& cc);
 
 } // namespace tt

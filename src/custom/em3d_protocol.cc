@@ -257,8 +257,7 @@ Em3dUpdateProtocol::onCFlush(TempestCtx& ctx, const Message& msg)
                         static_cast<Word>(kind)};
         const auto& consumers =
             _copies.at(blk / _cp.blockSize).consumers;
-        if (obs && (obs->wantSharing() || obs->wantTxn()) &&
-            !consumers.empty()) {
+        if (obs && obs->wantSharing() && !consumers.empty()) {
             obs->invalSent(self, blk, self,
                            static_cast<std::uint32_t>(consumers.size()),
                            InvKind::Update, _m.eq().now());

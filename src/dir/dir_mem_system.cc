@@ -690,7 +690,7 @@ DirMemSystem::homeProcess(NodeId home, Addr blk, NodeId requester,
             const Tick cost = _p.dirOpBase + _p.dirPerMsg;
             hn.ctrlFree = start + cost;
             _cRecallsSent.inc();
-            if (_obs && (_obs->wantSharing() || _obs->wantTxn())) {
+            if (_obs && _obs->wantSharing()) {
                 _obs->invalSent(home, blk, requester, 1,
                                 InvKind::Downgrade, start + cost);
             }
@@ -725,7 +725,7 @@ DirMemSystem::homeProcess(NodeId home, Addr blk, NodeId requester,
             _p.dirPerMsg * static_cast<Tick>(targets.size());
         hn.ctrlFree = start + cost;
         _cInvSent.inc(targets.size());
-        if (_obs && (_obs->wantSharing() || _obs->wantTxn())) {
+        if (_obs && _obs->wantSharing()) {
             _obs->invalSent(home, blk, requester,
                             static_cast<std::uint32_t>(targets.size()),
                             InvKind::Inval, start + cost);
@@ -742,7 +742,7 @@ DirMemSystem::homeProcess(NodeId home, Addr blk, NodeId requester,
         const Tick cost = _p.dirOpBase + _p.dirPerMsg;
         hn.ctrlFree = start + cost;
         _cRecallsSent.inc();
-        if (_obs && (_obs->wantSharing() || _obs->wantTxn())) {
+        if (_obs && _obs->wantSharing()) {
             _obs->invalSent(home, blk, requester, 1, InvKind::Recall,
                             start + cost);
         }

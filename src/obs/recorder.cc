@@ -106,6 +106,10 @@ void
 FlightRecorder::enableTxn(StatSet& stats, std::uint32_t block_size,
                           std::uint32_t page_size)
 {
+    // The critical-path report joins each transaction against the
+    // analyzer's per-block pattern, so the tracer always brings it.
+    if (!_sharing)
+        enableSharing(block_size, page_size);
     TxnParams p;
     p.blockSize = block_size;
     p.pageSize = page_size;

@@ -93,6 +93,8 @@ class FlightRecorder
      * derived deliver / handler / invalidation records carry it until
      * the MissEnd that closes the transaction. Txn-off runs (including
      * plain --trace) see a record stream byte-identical to before.
+     * It also attaches the SharingAnalyzer if absent (the report joins
+     * against its classification), so wantTxn() implies wantSharing().
      * @p stats receives the obs.txn.* aggregate counters at finalize.
      */
     void enableTxn(StatSet& stats, std::uint32_t block_size,
@@ -424,8 +426,8 @@ class FlightRecorder
      *  sharing-analysis record kinds at their emission sites). */
     bool wantSharing() const { return _sharing != nullptr; }
 
-    /** True iff the TxnTracer consumes the stream (gates MsgSup and
-     *  the extra invalSent sites at their emission points). */
+    /** True iff the TxnTracer consumes the stream (gates MsgSup at
+     *  its emission points). */
     bool wantTxn() const { return _wantTxn; }
 
     /** Oldest-first copy of node @p n's retained ring records. */

@@ -587,7 +587,7 @@ Stache::homeRequest(TempestCtx& ctx, Addr blk, NodeId requester,
                         static_cast<Word>(blk >> 32)};
         _cInvalsSent.inc(targets.size());
         if (FlightRecorder* obs = _ms.recorder();
-            obs && (obs->wantSharing() || obs->wantTxn())) {
+            obs && obs->wantSharing()) {
             obs->invalSent(ctx.nodeId(), blk, requester,
                            static_cast<std::uint32_t>(targets.size()),
                            InvKind::Inval, _m.eq().now());
@@ -615,7 +615,7 @@ Stache::homeRequest(TempestCtx& ctx, Addr blk, NodeId requester,
                         static_cast<Word>(blk >> 32)};
         _cRecalls.inc();
         if (FlightRecorder* obs = _ms.recorder();
-            obs && (obs->wantSharing() || obs->wantTxn())) {
+            obs && obs->wantSharing()) {
             obs->invalSent(ctx.nodeId(), blk, requester, 1,
                            wantRW ? InvKind::Recall : InvKind::Downgrade,
                            _m.eq().now());

@@ -195,9 +195,64 @@ TEST(Builders, ValidateReportsEveryGeometryError)
     big.core.cacheSize = 1024; // and no 4-way set of it fits
     EXPECT_EQ(big.validate().size(), 2u);
 
+    // Fault specs name nodes of the machine: one error per crash@ or
+    // cut= outside [0, nodes), a cut once for both of its directions.
+    MachineConfig faulty;
+    faulty.core.nodes = 8;
+    faulty.faults = parseFaultSpec("crash@100:7,cut=0-7,seed=1");
+    EXPECT_TRUE(faulty.validate().empty());
+    faulty.faults =
+        parseFaultSpec("crash@100:8,crash@200:-1,cut=0-99,seed=1");
+    EXPECT_EQ(faulty.validate().size(), 3u);
+
     // The builders refuse an invalid machine as a user error.
     EXPECT_THROW(buildDirNNB(bad), FatalError);
     EXPECT_THROW(buildTyphoonStache(big), FatalError);
+    EXPECT_THROW(buildTyphoonStache(faulty), FatalError);
+}
+
+/** runTarget on a checked tiny run of @p app on 8 nodes of @p system. */
+TargetRun
+checkedRun(const std::string& system, const std::string& app,
+           MachineConfig cfg)
+{
+    cfg.core.nodes = 8;
+    cfg.check.enable = true;
+    TargetMachine t = buildTarget(system, cfg);
+    auto a = makeTargetApp(system, app, DataSet::Tiny, 1, 0.2, t);
+    return runTarget(t, *a);
+}
+
+TEST(Builders, RunTargetSortsEveryEndingIntoAnOutcome)
+{
+    const TargetRun ok = checkedRun("stache", "em3d", {});
+    EXPECT_EQ(ok.outcome, "ok");
+    EXPECT_GT(ok.result.execTime, 0u);
+    EXPECT_NE(ok.checksum, 0.0);
+
+    // A completed run the checker faults is a violation, not an abort.
+    MachineConfig inval;
+    inval.dir.faultSkipInvalidate = true;
+    const TargetRun v = checkedRun("dirnnb", "em3d", inval);
+    EXPECT_EQ(v.outcome, "violation");
+    EXPECT_GT(v.result.execTime, 0u);
+    EXPECT_FALSE(v.detail.empty());
+
+    // An internal assertion aborts the run: a panic, with no result.
+    MachineConfig down;
+    down.stache.faultSkipDowngrade = true;
+    const TargetRun p = checkedRun("stache", "mp3d", down);
+    EXPECT_EQ(p.outcome, "panic");
+    EXPECT_EQ(p.result.execTime, 0u);
+    EXPECT_EQ(p.checksum, 0.0);
+    EXPECT_NE(p.detail.find("assertion failed"), std::string::npos);
+
+    // A user error is no outcome: it propagates.
+    MachineConfig cfg;
+    cfg.core.nodes = 9;
+    TargetMachine t = buildTarget("stache", cfg);
+    auto a = makeTargetApp("stache", "em3d", DataSet::Small, 4000, 0.2, t);
+    EXPECT_THROW(runTarget(t, *a), FatalError);
 }
 
 } // namespace

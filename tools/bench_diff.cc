@@ -33,14 +33,12 @@
 #include <cmath>
 #include <cstdio>
 #include <cstring>
-#include <fstream>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "json_mini.hh"
 
-using jmini::JsonParser;
 using jmini::JsonValue;
 
 namespace
@@ -78,20 +76,8 @@ caseEvSec(const JsonValue& c)
 bool
 load(const char* path, JsonValue& out)
 {
-    std::ifstream f(path);
-    if (!f) {
-        std::fprintf(stderr, "bench_diff: cannot open %s\n", path);
+    if (jmini::readJsonFile("bench_diff", path, out))
         return false;
-    }
-    std::ostringstream buf;
-    buf << f.rdbuf();
-    const std::string text = buf.str();
-    std::string err;
-    if (!JsonParser(text).parse(out, err)) {
-        std::fprintf(stderr, "%s: JSON parse error: %s\n", path,
-                     err.c_str());
-        return false;
-    }
     if (!out.isObject()) {
         std::fprintf(stderr, "%s: top level is not an object\n", path);
         return false;

@@ -1,8 +1,9 @@
 /**
  * @file
  * A minimal recursive-descent JSON parser shared by the standalone
- * validation tools (stats_lint, bench_diff): just enough to read the
- * simulator's own JSON output without external dependencies.
+ * validation tools (trace_lint, stats_lint, bench_diff): just enough
+ * to read the simulator's own JSON output without external
+ * dependencies.
  * Numbers are doubles; `null` is a first-class kind because the
  * stats exporter emits it for non-finite values.
  */
@@ -11,7 +12,9 @@
 #define TT_TOOLS_JSON_MINI_HH
 
 #include <cctype>
+#include <cstdio>
 #include <cstdlib>
+#include <fstream>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -284,6 +287,32 @@ class JsonParser
     const std::string& _s;
     std::size_t _pos = 0;
 };
+
+/**
+ * Read and parse the JSON file at @p path into @p out; 0 on success.
+ * Otherwise print why on stderr and return the tools' exit status for
+ * it: 2 when the file cannot be opened ("TOOL: cannot open PATH"), 1
+ * when it is not JSON ("PATH: JSON parse error: ...").
+ */
+inline int
+readJsonFile(const char* tool, const char* path, JsonValue& out)
+{
+    std::ifstream f(path);
+    if (!f) {
+        std::fprintf(stderr, "%s: cannot open %s\n", tool, path);
+        return 2;
+    }
+    std::ostringstream buf;
+    buf << f.rdbuf();
+    const std::string text = buf.str();
+    std::string err;
+    if (!JsonParser(text).parse(out, err)) {
+        std::fprintf(stderr, "%s: JSON parse error: %s\n", path,
+                     err.c_str());
+        return 1;
+    }
+    return 0;
+}
 
 } // namespace jmini
 

@@ -30,13 +30,10 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
-#include <fstream>
-#include <sstream>
 #include <string>
 
 #include "json_mini.hh"
 
-using jmini::JsonParser;
 using jmini::JsonValue;
 
 namespace
@@ -169,22 +166,9 @@ lintTelemetry(const char* path, const JsonValue& root)
 int
 lintFile(const char* path, bool telemetry)
 {
-    std::ifstream f(path);
-    if (!f) {
-        std::fprintf(stderr, "stats_lint: cannot open %s\n", path);
-        return 2;
-    }
-    std::ostringstream buf;
-    buf << f.rdbuf();
-    const std::string text = buf.str();
-
     JsonValue root;
-    std::string err;
-    if (!JsonParser(text).parse(root, err)) {
-        std::fprintf(stderr, "%s: JSON parse error: %s\n", path,
-                     err.c_str());
-        return 1;
-    }
+    if (const int rc = jmini::readJsonFile("stats_lint", path, root))
+        return rc;
     return telemetry ? lintTelemetry(path, root)
                      : lintStats(path, root);
 }

@@ -15,14 +15,18 @@
  */
 
 #include <algorithm>
+#include <cctype>
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <fstream>
 #include <iostream>
+#include <limits>
 #include <optional>
 #include <string>
-
-#include <fstream>
+#include <type_traits>
+#include <vector>
 
 #include "apps/workloads.hh"
 #include "config/builders.hh"
@@ -173,6 +177,44 @@ usage()
         "  --list            list workloads and exit\n");
 }
 
+constexpr int kIntMin = std::numeric_limits<int>::min();
+constexpr int kIntMax = std::numeric_limits<int>::max();
+constexpr std::uint64_t kU64Max = std::numeric_limits<std::uint64_t>::max();
+
+/**
+ * The whole of @p v, the value of flag @p arg, as a T in [@p lo,
+ * @p hi], or a usage error (exit 2): an empty value, trailing text,
+ * or a value out of range. Integers parse in @p base; seeds pass 0,
+ * which also takes the 0x and 0 prefixes.
+ */
+template <typename T>
+T
+parseNum(const std::string& arg, const std::string& v, T lo, T hi,
+         int base = 10)
+{
+    const char* s = v.c_str();
+    char* end = nullptr;
+    errno = 0;
+    bool ok = !v.empty() && !std::isspace(static_cast<unsigned char>(*s));
+    T x{};
+    if constexpr (std::is_floating_point_v<T>) {
+        x = std::strtod(s, &end);
+        ok = ok && x >= lo && x <= hi; // and never NaN
+    } else if constexpr (std::is_signed_v<T>) {
+        const long long n = std::strtoll(s, &end, base);
+        ok = ok && n >= lo && n <= hi;
+        x = static_cast<T>(n);
+    } else {
+        // strtoull negates a leading '-' instead of refusing it.
+        const unsigned long long n = std::strtoull(s, &end, base);
+        ok = ok && *s != '-' && n >= lo && n <= hi;
+        x = static_cast<T>(n);
+    }
+    if (!ok || errno == ERANGE || end != s + v.size())
+        tt_fatal(arg, ": want a number in [", lo, ", ", hi, "]");
+    return x;
+}
+
 bool
 parseArg(Options& o, const std::string& arg)
 {
@@ -192,27 +234,28 @@ parseArg(Options& o, const std::string& arg)
     } else if (eat("--dataset=", &v)) {
         o.dataset = v;
     } else if (eat("--nodes=", &v)) {
-        o.nodes = std::atoi(v.c_str());
+        // MachineConfig::validate() reports a node count below 1.
+        o.nodes = parseNum(arg, v, kIntMin, kIntMax);
     } else if (eat("--cache-kb=", &v)) {
-        o.cacheKb = std::atoi(v.c_str());
+        o.cacheKb = parseNum(arg, v, 0, kIntMax);
     } else if (eat("--block=", &v)) {
-        o.blockSize = std::atoi(v.c_str());
+        o.blockSize = parseNum(arg, v, 0, kIntMax);
     } else if (eat("--scale=", &v)) {
-        o.scale = std::atoi(v.c_str());
+        o.scale = parseNum(arg, v, 1, kIntMax);
     } else if (eat("--net-latency=", &v)) {
-        o.netLatency = std::atoi(v.c_str());
+        o.netLatency = parseNum(arg, v, 0, kIntMax);
     } else if (eat("--quantum=", &v)) {
-        o.quantum = std::atoi(v.c_str());
+        o.quantum = parseNum(arg, v, 0, kIntMax);
     } else if (eat("--remote=", &v)) {
-        o.remotePct = std::atof(v.c_str());
+        o.remotePct = parseNum(arg, v, 0.0, 100.0);
     } else if (eat("--seed=", &v)) {
-        o.seed = std::strtoull(v.c_str(), nullptr, 0);
+        o.seed = parseNum(arg, v, std::uint64_t{0}, kU64Max, 0);
     } else if (eat("--trace=", &v)) {
         o.traceFile = v;
     } else if (eat("--trace-sample=", &v)) {
-        o.traceSample = std::strtoull(v.c_str(), nullptr, 0);
+        o.traceSample = parseNum(arg, v, Tick{0}, kU64Max, 0);
     } else if (eat("--trace-ring=", &v)) {
-        o.traceRing = std::atoi(v.c_str());
+        o.traceRing = parseNum(arg, v, 1, kIntMax);
     } else if (eat("--stats-json=", &v)) {
         o.statsJson = v;
     } else if (eat("--analyze=", &v)) {
@@ -235,45 +278,36 @@ parseArg(Options& o, const std::string& arg)
     } else if (eat("--perturb=", &v)) {
         o.perturb = true;
         o.check = true;
-        o.perturbSeed = std::strtoull(v.c_str(), nullptr, 0);
+        o.perturbSeed = parseNum(arg, v, std::uint64_t{0}, kU64Max, 0);
     } else if (eat("--jitter=", &v)) {
-        o.jitter = std::atoi(v.c_str());
+        o.jitter = parseNum(arg, v, 0, kIntMax);
         o.jitterSet = true;
     } else if (eat("--faults=", &v)) {
         o.faults = v;
     } else if (eat("--horizon=", &v)) {
-        o.horizon = std::strtoull(v.c_str(), nullptr, 0);
+        o.horizon = parseNum(arg, v, Tick{0}, kU64Max, 0);
     } else if (eat("--rto=", &v)) {
-        o.rto = std::strtoll(v.c_str(), nullptr, 0);
+        o.rto = parseNum(arg, v, 1LL,
+                         std::numeric_limits<long long>::max(), 0);
     } else if (eat("--retries=", &v)) {
-        o.retries = std::atoi(v.c_str());
+        o.retries = parseNum(arg, v, 1, kIntMax);
     } else if (eat("--campaign=", &v)) {
-        o.campaign = std::atoi(v.c_str());
+        o.campaign = parseNum(arg, v, 0, kIntMax);
     } else if (eat("--campaign-json=", &v)) {
         o.campaignJson = v;
     } else if (eat("--campaign-shard=", &v)) {
         const std::size_t slash = v.find('/');
-        if (slash == std::string::npos) {
-            std::fprintf(stderr,
-                         "--campaign-shard wants I/N, got '%s'\n",
-                         v.c_str());
-            std::exit(2);
-        }
-        o.shardIndex = std::atoi(v.c_str());
-        o.shardCount = std::atoi(v.c_str() + slash + 1);
+        if (slash == std::string::npos)
+            tt_fatal("--campaign-shard wants I/N, got '", v, "'");
+        o.shardIndex = parseNum(arg, v.substr(0, slash), 0, kIntMax);
+        o.shardCount = parseNum(arg, v.substr(slash + 1), 1, kIntMax);
     } else if (eat("--systems=", &v)) {
         o.systems = v;
     } else if (eat("--checkpoint=", &v)) {
+        // EPOCH[,FILE]
         const std::size_t comma = v.find(',');
-        o.checkpointEpoch =
-            std::strtoull(v.c_str(), nullptr, 0);
-        if (!o.checkpointEpoch) {
-            std::fprintf(stderr,
-                         "--checkpoint wants EPOCH[,FILE] with "
-                         "EPOCH >= 1, got '%s'\n",
-                         v.c_str());
-            std::exit(2);
-        }
+        o.checkpointEpoch = parseNum(arg, v.substr(0, comma),
+                                     std::uint64_t{1}, kU64Max, 0);
         if (comma != std::string::npos)
             o.checkpointFile = v.substr(comma + 1);
     } else if (eat("--restore=", &v)) {
@@ -309,17 +343,11 @@ parseDataSet(const std::string& s)
     tt_fatal("unknown dataset: ", s);
 }
 
-/**
- * Reject contradictory flag combinations with a clear usage error, and
- * an unbuildable machine (@p cfg's geometry) with every error at once.
- */
+/** Reject contradictory flag combinations with a clear usage error. */
 void
-validateOptions(const Options& o, const MachineConfig& cfg)
+validateOptions(const Options& o)
 {
-    auto die = [](const char* msg) {
-        std::fprintf(stderr, "ttsim: %s\n", msg);
-        std::exit(2);
-    };
+    auto die = [](const char* msg) { tt_fatal(msg); };
     if (o.checkMode != "fast" && o.checkMode != "paranoid")
         die("--check accepts mode 'fast' or 'paranoid'");
     if (o.faults.empty()) {
@@ -339,10 +367,6 @@ validateOptions(const Options& o, const MachineConfig& cfg)
         die("--faults needs a seeded run: put seed=N in the spec or "
             "pass --seed=N");
     }
-    if (o.rto && *o.rto < 1)
-        die("--rto wants a timeout of at least 1 tick");
-    if (o.retries && *o.retries < 1)
-        die("--retries wants a cap of at least 1");
     if (o.jitterSet && !o.perturb)
         die("--jitter only modifies --perturb runs");
     if (o.traceSample && o.traceFile.empty())
@@ -351,8 +375,6 @@ validateOptions(const Options& o, const MachineConfig& cfg)
     if (!o.campaignJson.empty() && !o.campaign)
         die("--campaign-json requires --campaign");
     if (o.campaign) {
-        if (o.campaign < 1)
-            die("--campaign wants a positive run count");
         if (o.perturb)
             die("--campaign and --perturb are mutually exclusive (a "
                 "campaign already sweeps seeds)");
@@ -380,8 +402,7 @@ validateOptions(const Options& o, const MachineConfig& cfg)
     if (o.shardCount != 1 || o.shardIndex != 0) {
         if (!o.campaign)
             die("--campaign-shard requires --campaign");
-        if (o.shardCount < 1 || o.shardIndex < 0 ||
-            o.shardIndex >= o.shardCount)
+        if (o.shardIndex >= o.shardCount)
             die("--campaign-shard=I/N wants 0 <= I < N");
     }
     const bool crashes = o.faults.find("crash@") != std::string::npos;
@@ -407,7 +428,6 @@ validateOptions(const Options& o, const MachineConfig& cfg)
             die("--checkpoint/--restore and --perturb are mutually "
                 "exclusive");
     }
-    requireValid(cfg);
 }
 
 /**
@@ -448,6 +468,25 @@ configKey(const Options& o)
     return k;
 }
 
+/**
+ * The README exit status of a set of run outcomes, for the single run
+ * and the campaign alike: 3 if any run violated an invariant, else 5
+ * if any crash was unrecoverable, else 4 if any run failed another way
+ * (watchdog, panic, error), else 0.
+ */
+int
+exitStatus(const std::vector<std::string>& outcomes)
+{
+    const auto count = [&](const char* outcome) {
+        return std::count(outcomes.begin(), outcomes.end(), outcome);
+    };
+    if (count("violation"))
+        return 3;
+    if (count("unrecoverable"))
+        return 5;
+    return count("ok") == std::ssize(outcomes) ? 0 : 4;
+}
+
 int
 run(int argc, char** argv)
 {
@@ -473,6 +512,8 @@ run(int argc, char** argv)
         return 0;
     }
 
+    validateOptions(o);
+
     MachineConfig cfg;
     cfg.core.nodes = o.nodes;
     cfg.core.cacheSize = static_cast<std::uint64_t>(o.cacheKb) * 1024;
@@ -481,9 +522,6 @@ run(int argc, char** argv)
     cfg.net.latency = o.netLatency;
     if (o.seed)
         cfg.core.seed = o.seed;
-
-    validateOptions(o, cfg);
-
     cfg.check.enable = o.check;
     cfg.check.mode = o.checkMode == "paranoid"
                          ? ProtocolChecker::Mode::Paranoid
@@ -498,8 +536,7 @@ run(int argc, char** argv)
     // counter tracks (every StatSet counter) at a coarse default.
     if (!o.traceFile.empty() && o.traceSample == 0)
         cfg.obs.samplePeriod = 1024;
-    if (o.traceRing > 0)
-        cfg.obs.ringCapacity = static_cast<std::size_t>(o.traceRing);
+    cfg.obs.ringCapacity = static_cast<std::size_t>(o.traceRing);
 
     if (o.fault == "skip-invalidate") {
         cfg.dir.faultSkipInvalidate = true;
@@ -554,6 +591,9 @@ run(int argc, char** argv)
     }
     if (o.checkpointEpoch || !o.restoreFile.empty())
         cfg.recovery.fingerprint = configFingerprint(configKey(o));
+    // Every geometry error at once, fault nodes included, before any
+    // output.
+    requireValid(cfg);
 
     if (o.table2)
         printTable2(std::cout, cfg);
@@ -615,11 +655,10 @@ run(int argc, char** argv)
             }
             std::printf("campaign json  : %s\n", o.campaignJson.c_str());
         }
-        if (rep.countOutcome("violation"))
-            return 3;
-        if (rep.countOutcome("unrecoverable"))
-            return 5;
-        return rep.allOk() ? 0 : 4;
+        std::vector<std::string> outcomes;
+        for (const CampaignRun& r : rep.runs)
+            outcomes.push_back(r.outcome);
+        return exitStatus(outcomes);
     }
 
     const DataSet ds = parseDataSet(o.dataset);
@@ -637,7 +676,7 @@ run(int argc, char** argv)
     // applyState lambda reads it at the restored tick).
     Snapshot snap;
     Machine::RestartPlan plan;
-    bool restored = false;
+    const Machine::RestartPlan* from = nullptr;
     if (!o.restoreFile.empty()) {
         if (!app->supportsEpochRestart())
             tt_fatal("--restore requires an epoch-restartable app "
@@ -651,7 +690,7 @@ run(int argc, char** argv)
         }
         plan = restorePlan(snap, *target.machine, *target.network,
                            target.m().memsys(), target.checker.get());
-        restored = true;
+        from = &plan;
         std::printf("restore        : %s (epoch %llu, tick %llu)\n",
                     o.restoreFile.c_str(),
                     static_cast<unsigned long long>(snap.episodes),
@@ -661,29 +700,17 @@ run(int argc, char** argv)
         tt_fatal("--checkpoint requires an epoch-restartable app "
                  "(em3d)");
 
-    if (target.telemetry)
-        target.telemetry->runBegin();
-    RunResult r;
-    try {
-        r = restored ? target.run(*app, plan) : target.run(*app);
-    } catch (const UnrecoverableCrash& e) {
-        std::fprintf(stderr, "ttsim: %s\n", e.what());
-        if (target.recovery)
-            target.recovery->finalizeStats();
+    const TargetRun run = runTarget(target, *app, from);
+    const int status = exitStatus({run.outcome});
+    if (status != 0 && status != 3) {
+        // The run aborted: say why, and keep the counters it reached.
+        std::fprintf(stderr, "ttsim: %s\n", run.detail.c_str());
         if (!o.statsJson.empty() &&
             target.m().stats().writeJsonFile(o.statsJson))
             std::printf("stats json     : %s\n", o.statsJson.c_str());
-        return 5;
-    } catch (const WatchdogTimeout& e) {
-        // The on-trip hook already dumped the flight-recorder tail.
-        std::fprintf(stderr, "ttsim: %s\n", e.what());
-        if (!o.statsJson.empty() &&
-            target.m().stats().writeJsonFile(o.statsJson))
-            std::printf("stats json     : %s\n", o.statsJson.c_str());
-        return 4;
+        return status;
     }
-    if (target.telemetry)
-        target.telemetry->runEnd();
+    const RunResult& r = run.result;
 
     std::printf("execution time : %llu cycles\n",
                 static_cast<unsigned long long>(r.execTime));
@@ -693,7 +720,7 @@ run(int argc, char** argv)
                 static_cast<unsigned long long>(app->workUnits()),
                 static_cast<double>(r.execTime) * o.nodes /
                     static_cast<double>(app->workUnits()));
-    std::printf("checksum       : %.17g\n", app->checksum());
+    std::printf("checksum       : %.17g\n", run.checksum);
     std::printf("net messages   : %llu (%llu words)\n",
                 static_cast<unsigned long long>(
                     target.m().stats().get("net.messages")),
@@ -701,7 +728,6 @@ run(int argc, char** argv)
                     target.m().stats().get("net.words")));
 
     if (target.recovery) {
-        target.recovery->finalizeStats();
         std::printf(
             "recovery       : %llu crash(es) injected, %llu "
             "recovery(ies) completed\n",
@@ -723,7 +749,6 @@ run(int argc, char** argv)
     }
 
     if (target.obs) {
-        target.obs->finalize();
         if (!o.traceFile.empty())
             std::printf("trace          : %s (%llu records)\n",
                         o.traceFile.c_str(),
@@ -789,18 +814,14 @@ run(int argc, char** argv)
         std::printf("stats json     : %s\n", o.statsJson.c_str());
     }
 
-    bool checkFailed = false;
     if (target.checker) {
-        target.checker->finalize();
         std::fputs(target.checker->report().c_str(), stdout);
-        checkFailed = !target.checker->violations().empty();
-        if (checkFailed && target.obs) {
+        if (run.outcome == "violation" && target.obs) {
             std::fputs("--- flight recorder tail ---\n", stderr);
             target.obs->dumpTail(std::cerr);
         }
     }
-
-    return checkFailed ? 3 : 0;
+    return status;
 }
 
 } // namespace

@@ -24,7 +24,17 @@ set(cases
     "--cache-kb=0"
     "--nodes=1025"
     "--faults=drop=0.1,seed=1 --rto=-1"
-    "--faults=drop=0.1,seed=1 --retries=-3")
+    "--faults=drop=0.1,seed=1 --retries=-3"
+    "--faults=crash@100:99,seed=1"
+    "--faults=cut=0-99,seed=1"
+    "--faults=crash@100:99,seed=1 --campaign=1"
+    "--faults=cut=0-99,seed=1 --campaign=1"
+    "--net-latency=-1"
+    "--remote=200"
+    "--scale=0"
+    "--perturb=1 --jitter=-1"
+    "--seed=abc"
+    "--trace-ring=0")
 
 set(failed 0)
 foreach(arg IN LISTS cases)
