@@ -99,8 +99,8 @@ runBulk(int nodes, std::uint32_t kb)
 
 } // namespace
 
-int
-main()
+static int
+runDriver()
 {
     const int nodes = envInt("TT_NODES", 16);
     std::printf("Neighbor exchange: shared-memory pull vs Tempest "
@@ -119,4 +119,10 @@ main()
         std::fflush(stdout);
     }
     return 0;
+}
+
+int
+main()
+{
+    return guardMain(runDriver);
 }

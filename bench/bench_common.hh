@@ -15,20 +15,41 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <string>
 #include <vector>
 
 #include "apps/workloads.hh"
 #include "config/builders.hh"
+#include "sim/parse_num.hh"
 
 namespace tt::bench
 {
 
+/** Integer knob @p name, or @p def when unset; must parse whole. */
 inline int
 envInt(const char* name, int def)
 {
     const char* v = std::getenv(name);
-    return v ? std::atoi(v) : def;
+    return v ? parseNum(name, v, std::numeric_limits<int>::min(),
+                        std::numeric_limits<int>::max())
+             : def;
+}
+
+/**
+ * Run a driver's body, mapping a user error (tt_fatal, which has
+ * already printed its message: a malformed TT_* knob, a zero scale,
+ * an unbuildable machine) to exit 2 as ttsim does, not to an abort.
+ */
+template <typename F>
+int
+guardMain(F body)
+{
+    try {
+        return body();
+    } catch (const FatalError&) {
+        return 2;
+    }
 }
 
 inline std::vector<std::string>

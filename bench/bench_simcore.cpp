@@ -143,8 +143,8 @@ runGrid(const MachineConfig& cfg, const std::vector<std::string>& apps,
 
 } // namespace
 
-int
-main()
+static int
+runDriver()
 {
     const int scale = envInt("TT_SCALE", 4);
     const int nodes = envInt("TT_NODES", 32);
@@ -208,7 +208,8 @@ main()
     rep.hostCores = std::thread::hardware_concurrency();
     for (const auto& ns :
          envList("TT_FOOTPRINT_NODES", {"32", "128", "256"})) {
-        const int n = std::atoi(ns.c_str());
+        const int n = parseNum("TT_FOOTPRINT_NODES", ns, 1,
+                               std::numeric_limits<int>::max());
         for (const char* system : kSystems) {
             MachineConfig scfg;
             scfg.core.nodes = n;
@@ -242,4 +243,10 @@ main()
     }
     std::printf("wrote %s\n", out.c_str());
     return 0;
+}
+
+int
+main()
+{
+    return guardMain(runDriver);
 }

@@ -38,8 +38,8 @@ const Cell kCells[] = {
 
 } // namespace
 
-int
-main()
+static int
+runDriver()
 {
     const int scale = envInt("TT_SCALE", 8);
     const int nodes = envInt("TT_NODES", 32);
@@ -112,4 +112,10 @@ main()
         }
     }
     return 0;
+}
+
+int
+main()
+{
+    return guardMain(runDriver);
 }

@@ -17,8 +17,8 @@
 using namespace tt;
 using namespace tt::bench;
 
-int
-main()
+static int
+runDriver()
 {
     const int scale = envInt("TT_SCALE", 8);
     const int nodes = envInt("TT_NODES", 32);
@@ -62,4 +62,10 @@ main()
         std::fflush(stdout);
     }
     return 0;
+}
+
+int
+main()
+{
+    return guardMain(runDriver);
 }

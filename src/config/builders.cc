@@ -18,6 +18,9 @@ MachineConfig::validate() const
     if (c.nodes < 1)
         errs.push_back("nodes must be at least 1, got " +
                        std::to_string(c.nodes));
+    if (!isPow2(c.pageSize))
+        errs.push_back("page size must be a power of two, got " +
+                       std::to_string(c.pageSize));
     const bool blockOk = isPow2(c.blockSize) && c.blockSize >= 8;
     if (!blockOk)
         errs.push_back("block size must be a power of two of at least "
@@ -424,6 +427,8 @@ makeTargetApp(const std::string& system, const std::string& app,
               TargetMachine& target)
 {
     requireTargetApp(system, app);
+    if (scale < 1)
+        tt_fatal("scale must be at least 1, got ", scale);
     if (app != "em3d")
         return makeWorkload(app, ds, scale);
     const Em3dApp::Params p = em3dParams(ds, remoteFrac, scale);

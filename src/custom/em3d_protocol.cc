@@ -188,7 +188,7 @@ Em3dUpdateProtocol::onCGet(TempestCtx& ctx, const Message& msg)
     ctx.structAccess(entryKey(blk));
 
     // Register the copy permanently on the block's copy list.
-    CopyList& cl = _copies[blk / _cp.blockSize];
+    CopyList& cl = _copies[blockNum(blk, _cp.blockSize)];
     bool already = false;
     for (NodeId n : cl.consumers)
         already |= n == msg.src;
@@ -256,7 +256,7 @@ Em3dUpdateProtocol::onCFlush(TempestCtx& ctx, const Message& msg)
                         static_cast<Word>(blk >> 32),
                         static_cast<Word>(kind)};
         const auto& consumers =
-            _copies.at(blk / _cp.blockSize).consumers;
+            _copies.at(blockNum(blk, _cp.blockSize)).consumers;
         if (obs && obs->wantSharing() && !consumers.empty()) {
             obs->invalSent(self, blk, self,
                            static_cast<std::uint32_t>(consumers.size()),
@@ -309,7 +309,7 @@ Em3dUpdateProtocol::expectedUpdates(NodeId n, Kind k) const
 std::size_t
 Em3dUpdateProtocol::copyListSize(Addr blk) const
 {
-    const CopyList* cl = _copies.find(blk / _cp.blockSize);
+    const CopyList* cl = _copies.find(blockNum(blk, _cp.blockSize));
     return cl ? cl->consumers.size() : 0;
 }
 

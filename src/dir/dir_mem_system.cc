@@ -151,7 +151,7 @@ DirMemSystem::transfer(MemRequest* req)
 DirMemSystem::DirEntry&
 DirMemSystem::entry(Addr blk)
 {
-    auto [e, inserted] = _dir.findOrInsert(blk / _cp.blockSize);
+    auto [e, inserted] = _dir.findOrInsert(blockNum(blk, _cp.blockSize));
     if (inserted)
         e.sharers = NodeSet(_cp.nodes);
     return e;
@@ -160,7 +160,7 @@ DirMemSystem::entry(Addr blk)
 const DirMemSystem::DirEntry*
 DirMemSystem::findEntry(Addr blk) const
 {
-    return _dir.find(blk / _cp.blockSize);
+    return _dir.find(blockNum(blk, _cp.blockSize));
 }
 
 DirMemSystem::EntryView
@@ -239,8 +239,9 @@ DirMemSystem::oldestPendingSince() const
     // issue time bounds how long any transaction has been open.
     Tick oldest = kTickMax;
     for (const Node& n : _nodes)
-        for (const auto& [blk, miss] : n.pending)
+        n.pending.forEach([&](Addr, const PendingMiss& miss) {
             oldest = std::min(oldest, miss.req->issueTime);
+        });
     return oldest;
 }
 
@@ -375,9 +376,9 @@ DirMemSystem::access(MemRequest* req)
         }
         // Local access with remote conflict: enter the home state
         // machine without network hops.
-        tt_assert(!n.pending.count(blk),
+        tt_assert(!n.pending.contains(blk),
                   "duplicate outstanding miss at node ", self);
-        n.pending[blk] = PendingMiss{req, upgrade};
+        n.pending.insert(blk, PendingMiss{req, upgrade});
         _cLocalConflictMisses.inc();
         if (_obs)
             _obs->missStart(self, blk, req->op == MemOp::Write,
@@ -390,9 +391,9 @@ DirMemSystem::access(MemRequest* req)
     }
 
     // Remote miss: issue a request message after the launch overhead.
-    tt_assert(!n.pending.count(blk),
+    tt_assert(!n.pending.contains(blk),
               "duplicate outstanding miss at node ", self);
-    n.pending[blk] = PendingMiss{req, upgrade};
+    n.pending.insert(blk, PendingMiss{req, upgrade});
     _cRemoteMisses.inc();
     if (_obs)
         _obs->missStart(self, blk, req->op == MemOp::Write,
@@ -464,7 +465,7 @@ DirMemSystem::footprintBytes() const
     for (const Node& n : _nodes) {
         b += n.cache->footprintBytes();
         b += n.tlb->footprintBytes();
-        b += n.pending.size() * (sizeof(Addr) + sizeof(PendingMiss));
+        b += n.pending.footprintBytes();
     }
     b += _allocs.capacity() * sizeof(SharedRange);
     return b;
@@ -864,11 +865,10 @@ DirMemSystem::completeAtRequester(NodeId node, Addr blk, bool withData,
                                   bool writeGrant, Tick when)
 {
     Node& n = _nodes[node];
-    auto it = n.pending.find(blk);
-    tt_assert(it != n.pending.end(), "grant with no pending miss at ",
-              node);
-    MemRequest* req = it->second.req;
-    n.pending.erase(it);
+    const PendingMiss* miss = n.pending.find(blk);
+    tt_assert(miss, "grant with no pending miss at ", node);
+    MemRequest* req = miss->req;
+    n.pending.erase(blk);
 
     const Tick start = ctrlStart(node, when);
     Tick cost = _p.remoteMissFinish;
@@ -914,12 +914,11 @@ void
 DirMemSystem::completeLocal(NodeId node, Addr blk, Tick when)
 {
     Node& n = _nodes[node];
-    auto it = n.pending.find(blk);
-    tt_assert(it != n.pending.end(),
-              "local grant with no pending miss at ", node);
-    MemRequest* req = it->second.req;
-    const bool upgrade = it->second.upgrade;
-    n.pending.erase(it);
+    const PendingMiss* miss = n.pending.find(blk);
+    tt_assert(miss, "local grant with no pending miss at ", node);
+    MemRequest* req = miss->req;
+    const bool upgrade = miss->upgrade;
+    n.pending.erase(blk);
 
     Tick cost = 0;
     if (upgrade && n.cache->presentShared(req->vaddr)) {

@@ -24,7 +24,6 @@
 #include <algorithm>
 #include <deque>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "core/machine.hh"
@@ -196,7 +195,7 @@ class DirMemSystem : public MemorySystem
         std::unique_ptr<CacheModel> cache;
         std::unique_ptr<TlbModel> tlb;
         Tick ctrlFree = 0; ///< controller occupancy
-        std::unordered_map<Addr, PendingMiss> pending; // by block addr
+        OpenMap<Addr, PendingMiss> pending; // by block addr
     };
 
     // helpers ------------------------------------------------------------

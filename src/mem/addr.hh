@@ -3,10 +3,15 @@
  * Address manipulation helpers. Block and page sizes are runtime
  * configuration (the paper's fine-grain blocks are "typically 32-128
  * bytes"; pages are 4 KB), so helpers take the size explicitly.
+ * Every size is a power of two (MachineConfig::validate() rejects
+ * anything else), so page and block numbers are shifts, not 64-bit
+ * divides: these helpers run on every simulated access.
  */
 
 #ifndef TT_MEM_ADDR_HH
 #define TT_MEM_ADDR_HH
+
+#include <bit>
 
 #include "sim/logging.hh"
 #include "sim/types.hh"
@@ -54,11 +59,18 @@ blockAlign(Addr a, std::uint32_t block_size)
     return alignDown(a, block_size);
 }
 
-/** Page number of @p a. */
+/** Block number of @p a; @p block_size is a power of two. */
+constexpr std::uint64_t
+blockNum(Addr a, std::uint32_t block_size)
+{
+    return a >> std::countr_zero(block_size);
+}
+
+/** Page number of @p a; @p page_size is a power of two. */
 constexpr std::uint64_t
 pageNum(Addr a, std::uint32_t page_size)
 {
-    return a / page_size;
+    return a >> std::countr_zero(page_size);
 }
 
 /** Byte offset of @p a within its page. */
@@ -72,8 +84,8 @@ pageOffset(Addr a, std::uint32_t page_size)
 constexpr std::uint32_t
 blockInPage(Addr a, std::uint32_t page_size, std::uint32_t block_size)
 {
-    return static_cast<std::uint32_t>(pageOffset(a, page_size) /
-                                      block_size);
+    return static_cast<std::uint32_t>(pageOffset(a, page_size) >>
+                                      std::countr_zero(block_size));
 }
 
 /** True iff [a, a+len) stays within one block. */

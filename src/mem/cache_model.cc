@@ -14,6 +14,7 @@ CacheModel::CacheModel(std::uint64_t size_bytes, std::uint32_t assoc,
 {
     tt_assert(isPow2(size_bytes) && isPow2(block_size),
               "cache size/block size must be powers of two");
+    tt_assert(block_size >= 8, "blocks must be at least 8 bytes");
     tt_assert(assoc > 0, "associativity must be positive");
     const std::uint64_t lines = size_bytes / block_size;
     tt_assert(lines % assoc == 0, "lines not divisible by assoc");
@@ -22,52 +23,11 @@ CacheModel::CacheModel(std::uint64_t size_bytes, std::uint32_t assoc,
     _lines.resize(lines);
 }
 
-std::uint32_t
-CacheModel::setIndex(Addr a) const
-{
-    return static_cast<std::uint32_t>((a / _blockSize) & (_numSets - 1));
-}
-
-CacheModel::Line*
-CacheModel::find(Addr a)
-{
-    const Addr blk = blockAlign(a, _blockSize);
-    Line* set = &_lines[static_cast<std::size_t>(setIndex(a)) * _assoc];
-    for (std::uint32_t w = 0; w < _assoc; ++w) {
-        if (set[w].state != LineState::Invalid && set[w].tag == blk)
-            return &set[w];
-    }
-    return nullptr;
-}
-
-const CacheModel::Line*
-CacheModel::find(Addr a) const
-{
-    return const_cast<CacheModel*>(this)->find(a);
-}
-
-bool
-CacheModel::probeRead(Addr a) const
-{
-    return find(a) != nullptr;
-}
-
-bool
-CacheModel::probeWrite(Addr a)
-{
-    Line* l = find(a);
-    if (l && l->state == LineState::Owned) {
-        l->dirty = true;
-        return true;
-    }
-    return false;
-}
-
 bool
 CacheModel::presentShared(Addr a) const
 {
     const Line* l = find(a);
-    return l && l->state == LineState::Shared;
+    return l && l->state() == LineState::Shared;
 }
 
 bool
@@ -80,7 +40,7 @@ bool
 CacheModel::probeDirty(Addr a) const
 {
     const Line* l = find(a);
-    return l && l->state == LineState::Owned && l->dirty;
+    return l && l->state() == LineState::Owned && l->dirty();
 }
 
 CacheResult
@@ -89,13 +49,13 @@ CacheModel::fill(Addr a, LineState state)
     tt_assert(state != LineState::Invalid, "cannot fill Invalid");
     CacheResult res;
     if (Line* l = find(a)) {
-        const LineState prior = l->state;
-        l->state = state;
+        const LineState prior = l->state();
+        l->setState(state);
         if (state == LineState::Shared)
-            l->dirty = false;
+            l->setDirty(false);
         res.hit = true;
         if (prior != state)
-            notify(l->tag, state);
+            notify(l->tag(), state);
         return res;
     }
 
@@ -105,7 +65,7 @@ CacheModel::fill(Addr a, LineState state)
     // Prefer an invalid way; otherwise evict a random way.
     Line* victim = nullptr;
     for (std::uint32_t w = 0; w < _assoc; ++w) {
-        if (set[w].state == LineState::Invalid) {
+        if (set[w].state() == LineState::Invalid) {
             victim = &set[w];
             break;
         }
@@ -113,15 +73,13 @@ CacheModel::fill(Addr a, LineState state)
     if (!victim) {
         victim = &set[_rng.below(_assoc)];
         res.victimValid = true;
-        res.victimAddr = victim->tag;
-        res.victimOwned = victim->state == LineState::Owned;
-        res.victimDirty = victim->dirty;
-        notify(victim->tag, LineState::Invalid);
+        res.victimAddr = victim->tag();
+        res.victimOwned = victim->state() == LineState::Owned;
+        res.victimDirty = victim->dirty();
+        notify(victim->tag(), LineState::Invalid);
     }
 
-    victim->tag = blk;
-    victim->state = state;
-    victim->dirty = false;
+    victim->set(blk, state);
     notify(blk, state);
     return res;
 }
@@ -135,11 +93,10 @@ CacheModel::invalidate(Addr a, bool* was_dirty)
             *was_dirty = false;
         return LineState::Invalid;
     }
-    const LineState prior = l->state;
+    const LineState prior = l->state();
     if (was_dirty)
-        *was_dirty = l->dirty;
-    l->state = LineState::Invalid;
-    l->dirty = false;
+        *was_dirty = l->dirty();
+    l->set(l->tag(), LineState::Invalid);
     notify(blockAlign(a, _blockSize), LineState::Invalid);
     return prior;
 }
@@ -148,15 +105,14 @@ bool
 CacheModel::downgrade(Addr a, bool* was_dirty)
 {
     Line* l = find(a);
-    if (!l || l->state != LineState::Owned) {
+    if (!l || l->state() != LineState::Owned) {
         if (was_dirty)
             *was_dirty = false;
         return false;
     }
     if (was_dirty)
-        *was_dirty = l->dirty;
-    l->state = LineState::Shared;
-    l->dirty = false;
+        *was_dirty = l->dirty();
+    l->set(l->tag(), LineState::Shared);
     notify(blockAlign(a, _blockSize), LineState::Shared);
     return true;
 }
@@ -167,9 +123,9 @@ CacheModel::upgrade(Addr a, bool dirty)
     Line* l = find(a);
     if (!l)
         return false;
-    const LineState prior = l->state;
-    l->state = LineState::Owned;
-    l->dirty = dirty;
+    const LineState prior = l->state();
+    l->set(l->tag(), LineState::Owned);
+    l->setDirty(dirty);
     if (prior != LineState::Owned)
         notify(blockAlign(a, _blockSize), LineState::Owned);
     return true;
@@ -179,10 +135,9 @@ void
 CacheModel::flushAll()
 {
     for (auto& l : _lines) {
-        if (l.state != LineState::Invalid)
-            notify(l.tag, LineState::Invalid);
-        l.state = LineState::Invalid;
-        l.dirty = false;
+        if (l.state() != LineState::Invalid)
+            notify(l.tag(), LineState::Invalid);
+        l.set(l.tag(), LineState::Invalid);
     }
 }
 
@@ -191,7 +146,7 @@ CacheModel::validLines() const
 {
     std::size_t n = 0;
     for (const auto& l : _lines)
-        if (l.state != LineState::Invalid)
+        if (l.state() != LineState::Invalid)
             ++n;
     return n;
 }

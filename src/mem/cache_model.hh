@@ -61,10 +61,19 @@ class CacheModel
                std::uint32_t block_size, std::uint64_t seed);
 
     /** Read lookup: hits on Shared or Owned. Does not fill. */
-    bool probeRead(Addr a) const;
+    bool probeRead(Addr a) const { return find(a) != nullptr; }
 
     /** Write lookup: hits only on Owned lines; marks them dirty. */
-    bool probeWrite(Addr a);
+    bool
+    probeWrite(Addr a)
+    {
+        Line* l = find(a);
+        if (l && l->state() == LineState::Owned) {
+            l->setDirty(true);
+            return true;
+        }
+        return false;
+    }
 
     /** True iff the line is present in state Shared (not Owned). */
     bool presentShared(Addr a) const;
@@ -141,16 +150,68 @@ class CacheModel
             _listener(blk, st);
     }
 
+    /**
+     * One tag-array entry in one word: the full block address (which
+     * simplifies victim reporting) with the LineState in bits 0-1 and
+     * the dirty flag in bit 2. Blocks are at least 8 bytes, so those
+     * address bits are always zero.
+     */
     struct Line
     {
-        Addr tag = 0; // full block address, simplifies victim reporting
-        LineState state = LineState::Invalid;
-        bool dirty = false;
-    };
+        static constexpr std::uint64_t kStateMask = 3;
+        static constexpr std::uint64_t kDirty = 4;
 
-    std::uint32_t setIndex(Addr a) const;
-    Line* find(Addr a);
-    const Line* find(Addr a) const;
+        std::uint64_t word = 0; // Invalid, clean, tag 0
+
+        Addr tag() const { return word & ~(kStateMask | kDirty); }
+        LineState
+        state() const
+        {
+            return static_cast<LineState>(word & kStateMask);
+        }
+        bool dirty() const { return word & kDirty; }
+
+        void
+        set(Addr blk, LineState st)
+        {
+            word = blk | static_cast<std::uint64_t>(st);
+        }
+        void
+        setState(LineState st)
+        {
+            word = (word & ~kStateMask) | static_cast<std::uint64_t>(st);
+        }
+        void setDirty(bool d) { word = (word & ~kDirty) | (d ? kDirty : 0); }
+    };
+    static_assert(sizeof(Line) == 8);
+
+    std::uint32_t
+    setIndex(Addr a) const
+    {
+        return static_cast<std::uint32_t>(blockNum(a, _blockSize) &
+                                          (_numSets - 1));
+    }
+
+    /** The valid line holding @p a's block, or nullptr (every access). */
+    Line*
+    find(Addr a)
+    {
+        const Addr blk = blockAlign(a, _blockSize);
+        Line* set =
+            &_lines[static_cast<std::size_t>(setIndex(a)) * _assoc];
+        for (std::uint32_t w = 0; w < _assoc; ++w) {
+            if (set[w].tag() == blk &&
+                set[w].state() != LineState::Invalid)
+                return &set[w];
+        }
+        return nullptr;
+    }
+
+    const Line*
+    find(Addr a) const
+    {
+        return const_cast<CacheModel*>(this)->find(a);
+    }
 
     std::uint64_t _sizeBytes;
     std::uint32_t _assoc;

@@ -11,9 +11,9 @@
 #define TT_MEM_PAGE_TABLE_HH
 
 #include <cstdint>
-#include <unordered_map>
 
 #include "mem/addr.hh"
+#include "sim/dense_map.hh"
 #include "sim/logging.hh"
 #include "sim/types.hh"
 
@@ -36,7 +36,10 @@ struct PageMapping
 /**
  * Forward (VA -> PA) page table for one node, with a reverse view
  * (PA -> VA) used by the NP's reverse TLB to recover virtual page
- * numbers from snooped bus addresses.
+ * numbers from snooped bus addresses. Both directions are DenseMaps:
+ * shared virtual pages are bump-allocated from a few fixed bases and
+ * physical pages from ppn 1, so a lookup is a bank scan and an index.
+ * A pointer from lookup() stays valid until the next map().
  */
 class PageTable
 {
@@ -54,10 +57,11 @@ class PageTable
     {
         const std::uint64_t vpn = pageNum(va, _pageSize);
         const std::uint64_t ppn = pageNum(pa, _pageSize);
-        tt_assert(!_fwd.count(vpn), "double-mapping vpn ", vpn);
-        tt_assert(!_rev.count(ppn), "physical page mapped twice: ", ppn);
-        _fwd[vpn] = PageMapping{ppn * _pageSize, mode, writable};
-        _rev[ppn] = vpn * _pageSize;
+        tt_assert(!_fwd.contains(vpn), "double-mapping vpn ", vpn);
+        tt_assert(!_rev.contains(ppn), "physical page mapped twice: ",
+                  ppn);
+        _fwd.insert(vpn, PageMapping{ppn * _pageSize, mode, writable});
+        _rev.insert(ppn, vpn * _pageSize);
     }
 
     /** Remove the mapping covering @p va. */
@@ -65,18 +69,17 @@ class PageTable
     unmap(Addr va)
     {
         const std::uint64_t vpn = pageNum(va, _pageSize);
-        auto it = _fwd.find(vpn);
-        tt_assert(it != _fwd.end(), "unmapping unmapped vpn ", vpn);
-        _rev.erase(pageNum(it->second.ppage, _pageSize));
-        _fwd.erase(it);
+        const PageMapping* m = _fwd.find(vpn);
+        tt_assert(m, "unmapping unmapped vpn ", vpn);
+        _rev.erase(pageNum(m->ppage, _pageSize));
+        _fwd.erase(vpn);
     }
 
     /** Lookup the mapping covering @p va; nullptr if unmapped. */
     const PageMapping*
     lookup(Addr va) const
     {
-        auto it = _fwd.find(pageNum(va, _pageSize));
-        return it == _fwd.end() ? nullptr : &it->second;
+        return _fwd.find(pageNum(va, _pageSize));
     }
 
     /** Translate @p va to a physical address; panics if unmapped. */
@@ -95,10 +98,10 @@ class PageTable
     bool
     reverse(PAddr pa, Addr* va_out) const
     {
-        auto it = _rev.find(pageNum(pa, _pageSize));
-        if (it == _rev.end())
+        const Addr* base = _rev.find(pageNum(pa, _pageSize));
+        if (!base)
             return false;
-        *va_out = it->second + pageOffset(pa, _pageSize);
+        *va_out = *base + pageOffset(pa, _pageSize);
         return true;
     }
 
@@ -106,29 +109,27 @@ class PageTable
     void
     setMode(Addr va, std::uint8_t mode)
     {
-        auto it = _fwd.find(pageNum(va, _pageSize));
-        tt_assert(it != _fwd.end(), "setMode on unmapped va ", va);
-        it->second.mode = mode;
+        PageMapping* m = _fwd.find(pageNum(va, _pageSize));
+        tt_assert(m, "setMode on unmapped va ", va);
+        m->mode = mode;
     }
 
     std::size_t mappedPages() const { return _fwd.size(); }
 
     /**
-     * Resident bytes (telemetry memory probes): element payloads of
-     * the forward and reverse maps (bucket overhead not modeled).
+     * Resident bytes (telemetry memory probes): the slot banks of the
+     * forward and reverse maps.
      */
     std::size_t
     footprintBytes() const
     {
-        return _fwd.size() *
-                   (sizeof(std::uint64_t) + sizeof(PageMapping)) +
-               _rev.size() * (sizeof(std::uint64_t) + sizeof(Addr));
+        return _fwd.footprintBytes() + _rev.footprintBytes();
     }
 
   private:
     std::uint32_t _pageSize;
-    std::unordered_map<std::uint64_t, PageMapping> _fwd; // vpn -> mapping
-    std::unordered_map<std::uint64_t, Addr> _rev;        // ppn -> va base
+    DenseMap<PageMapping> _fwd; // vpn -> mapping
+    DenseMap<Addr> _rev;        // ppn -> va base
 };
 
 } // namespace tt

@@ -70,7 +70,7 @@ class PhysMem
     void
     allocPageAt(PAddr base)
     {
-        const std::uint64_t ppn = base / _pageSize;
+        const std::uint64_t ppn = pageNum(base, _pageSize);
         tt_assert(!slot(ppn), "page already allocated at ", base);
         backPage(ppn);
     }
@@ -79,7 +79,7 @@ class PhysMem
     void
     freePage(PAddr base)
     {
-        const std::uint64_t ppn = base / _pageSize;
+        const std::uint64_t ppn = pageNum(base, _pageSize);
         std::uint8_t* page = slot(ppn);
         tt_assert(page, "freeing unallocated page ", base);
         _pages[ppn - _basePpn].reset();
@@ -88,7 +88,7 @@ class PhysMem
     }
 
     /** True iff the page containing @p pa is allocated. */
-    bool pageAllocated(PAddr pa) const { return slot(pa / _pageSize); }
+    bool pageAllocated(PAddr pa) const { return slot(pageNum(pa, _pageSize)); }
 
     /** Copy @p len bytes at physical address @p pa into @p buf. */
     void
@@ -205,7 +205,7 @@ class PhysMem
         const std::uint64_t off = pa & (_pageSize - 1);
         tt_assert(off + len <= _pageSize,
                   "physical access crosses page boundary at ", pa);
-        const std::uint8_t* page = slot(pa / _pageSize);
+        const std::uint8_t* page = slot(pageNum(pa, _pageSize));
         tt_assert(page, "access to unallocated page: pa=", pa);
         return page + off;
     }

@@ -11,8 +11,8 @@
 
 #include <cstdint>
 #include <deque>
-#include <unordered_set>
 
+#include "sim/dense_map.hh"
 #include "sim/logging.hh"
 #include "sim/types.hh"
 
@@ -38,25 +38,26 @@ class TlbModel
     bool
     access(std::uint64_t pn)
     {
-        if (_present.count(pn))
+        if (_present.contains(pn))
             return true;
         insert(pn);
         return false;
     }
 
     /** True iff @p pn is resident, without touching state. */
-    bool probe(std::uint64_t pn) const { return _present.count(pn) != 0; }
+    bool probe(std::uint64_t pn) const { return _present.contains(pn); }
 
     /** Remove @p pn (page unmapped or remapped). */
     void
     invalidate(std::uint64_t pn)
     {
-        if (_present.erase(pn)) {
-            for (auto it = _fifo.begin(); it != _fifo.end(); ++it) {
-                if (*it == pn) {
-                    _fifo.erase(it);
-                    break;
-                }
+        if (!_present.contains(pn))
+            return;
+        _present.erase(pn);
+        for (auto it = _fifo.begin(); it != _fifo.end(); ++it) {
+            if (*it == pn) {
+                _fifo.erase(it);
+                break;
             }
         }
     }
@@ -73,14 +74,14 @@ class TlbModel
     std::size_t resident() const { return _present.size(); }
 
     /**
-     * Resident bytes (telemetry memory probes): FIFO plus the hash
-     * set's element payloads (bucket overhead not modeled).
+     * Resident bytes (telemetry memory probes): FIFO entries plus the
+     * residency table's slots.
      */
     std::size_t
     footprintBytes() const
     {
         return _fifo.size() * sizeof(std::uint64_t) +
-               _present.size() * sizeof(std::uint64_t);
+               _present.footprintBytes();
     }
 
   private:
@@ -92,12 +93,13 @@ class TlbModel
             _fifo.pop_front();
         }
         _fifo.push_back(pn);
-        _present.insert(pn);
+        _present.insert(pn, true);
     }
 
     std::uint32_t _entries;
     std::deque<std::uint64_t> _fifo;
-    std::unordered_set<std::uint64_t> _present;
+    /** Resident page numbers (the value is unused): one probe a hit. */
+    OpenMap<std::uint64_t, bool> _present;
 };
 
 } // namespace tt

@@ -21,13 +21,14 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <cstdlib>
+#include <limits>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "net/message.hh"
 #include "sim/logging.hh"
+#include "sim/parse_num.hh"
 #include "sim/random.hh"
 #include "sim/stats.hh"
 #include "sim/types.hh"
@@ -238,7 +239,8 @@ class SeededFaultModel final : public FaultModel
  *   | pause=P[:MAXLEN] | cut=A-B | crash@TICK:NODE | seed=N
  * separated by commas; cut= may repeat and cuts both directions;
  * crash@ may repeat to schedule several crash-stop failures.
- * Unknown keys are a usage error (tt_fatal).
+ * Unknown keys, and numbers that do not parse whole, are usage errors
+ * (tt_fatal).
  */
 inline FaultParams
 parseFaultSpec(const std::string& spec)
@@ -253,6 +255,19 @@ parseFaultSpec(const std::string& spec)
         pos = end + 1;
         if (item.empty())
             continue;
+        // Every number parses whole (parseNum): "0.01xyz", "abc" and
+        // "" are usage errors, not a prefix or a silent zero. Ticks
+        // and seeds take base 0 (0x.. and 0.. prefixes); node ids
+        // are decimal and range-checked by MachineConfig::validate().
+        const std::string what = "--faults: " + item;
+        auto node = [&](const std::string& v) {
+            return parseNum<NodeId>(what, v,
+                                    std::numeric_limits<NodeId>::min(),
+                                    std::numeric_limits<NodeId>::max());
+        };
+        auto tick = [&](const std::string& v) {
+            return parseNum<Tick>(what, v, 1, kTickMax, 0);
+        };
         // crash@TICK:NODE — the one key using @, not = (a crash is a
         // point event, not a rate).
         if (item.rfind("crash@", 0) == 0) {
@@ -261,13 +276,8 @@ parseFaultSpec(const std::string& spec)
             if (colon == std::string::npos || colon == 0)
                 tt_fatal("--faults: crash wants crash@TICK:NODE, got '",
                          item, "'");
-            const Tick t = static_cast<Tick>(
-                std::strtoull(v.c_str(), nullptr, 0));
-            const NodeId n =
-                static_cast<NodeId>(std::atoi(v.c_str() + colon + 1));
-            if (t == 0)
-                tt_fatal("--faults: crash tick must be > 0");
-            p.crashes.emplace_back(t, n);
+            p.crashes.emplace_back(tick(v.substr(0, colon)),
+                                   node(v.substr(colon + 1)));
             continue;
         }
         const std::size_t eq = item.find('=');
@@ -276,21 +286,14 @@ parseFaultSpec(const std::string& spec)
         const std::string key = item.substr(0, eq);
         const std::string val = item.substr(eq + 1);
         auto prob = [&](const std::string& v) {
-            const double d = std::strtod(v.c_str(), nullptr);
-            if (d < 0 || d > 1)
-                tt_fatal("--faults: ", key, "=", v,
-                         " is not a probability in [0,1]");
-            return d;
+            return parseNum(what, v, 0.0, 1.0);
         };
         // P[:N] — probability with an optional tick bound.
         auto split = [&](Tick* bound) {
             const std::size_t colon = val.find(':');
             if (colon == std::string::npos)
                 return prob(val);
-            *bound = static_cast<Tick>(
-                std::strtoull(val.c_str() + colon + 1, nullptr, 0));
-            if (*bound == 0)
-                tt_fatal("--faults: ", key, " bound must be > 0");
+            *bound = tick(val.substr(colon + 1));
             return prob(val.substr(0, colon));
         };
         if (key == "drop") {
@@ -307,12 +310,14 @@ parseFaultSpec(const std::string& spec)
             const std::size_t dash = val.find('-');
             if (dash == std::string::npos)
                 tt_fatal("--faults: cut wants A-B, got '", val, "'");
-            const NodeId a = std::atoi(val.c_str());
-            const NodeId b = std::atoi(val.c_str() + dash + 1);
+            const NodeId a = node(val.substr(0, dash));
+            const NodeId b = node(val.substr(dash + 1));
             p.cuts.emplace_back(a, b);
             p.cuts.emplace_back(b, a);
         } else if (key == "seed") {
-            p.seed = std::strtoull(val.c_str(), nullptr, 0);
+            p.seed = parseNum<std::uint64_t>(
+                what, val, 0, std::numeric_limits<std::uint64_t>::max(),
+                0);
         } else {
             tt_fatal(
                 "--faults: unknown key '", key,

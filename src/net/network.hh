@@ -99,7 +99,7 @@ class Network
     /**
      * Resident bytes of the fabric's own structures (telemetry memory
      * probe): receiver table, port occupancies, jitter clamps,
-     * dead-node set.
+     * dead-node set, and the in-flight message pool.
      */
     std::size_t
     footprintBytes() const
@@ -108,7 +108,9 @@ class Network
                _linkFree.capacity() * sizeof(Tick) +
                _ejectFree.capacity() * sizeof(Tick) +
                _lastArrive.capacity() * sizeof(Tick) +
-               _dead.capacity();
+               _dead.capacity() +
+               _parked.capacity() * sizeof(Message) +
+               _freeSlots.capacity() * sizeof(std::uint32_t);
     }
 
     /** Install the message receiver for @p node. */
@@ -164,7 +166,11 @@ class Network
      * at a snapshot epoch: a peeked block whose latest bytes ride in a
      * transit writeback would snapshot stale.
      */
-    long inflight() const { return _inflight; }
+    long
+    inflight() const
+    {
+        return static_cast<long>(_parked.size() - _freeSlots.size());
+    }
 
     /**
      * Messages swallowed by the dead-node gate ("declared-lost" in
@@ -189,8 +195,9 @@ class Network
         std::fill(_ejectFree.begin(), _ejectFree.end(), now);
         std::fill(_lastArrive.begin(), _lastArrive.end(), 0);
         // A crash rollback clears the event queue wholesale, killing
-        // scheduled deliver closures before they can decrement.
-        _inflight = 0;
+        // scheduled deliver closures before they free their slots.
+        _parked.clear();
+        _freeSlots.clear();
     }
 
     /**
@@ -328,29 +335,45 @@ class Network
                           flags);
         }
 
-        if (dupArrive) {
-            Message copy = msg;
-            ++_inflight;
-            _eq.schedule(dupArrive,
-                         [this, m = std::move(copy)]() mutable {
-                             deliver(std::move(m));
-                         });
-        }
-        if (dropped)
-            return;
+        if (dupArrive)
+            scheduleDelivery(dupArrive, Message(msg));
+        if (!dropped)
+            scheduleDelivery(arrive, std::move(msg));
+    }
 
-        // The closure owns the message.
-        ++_inflight;
-        _eq.schedule(arrive,
-                     [this, m = std::move(msg)]() mutable {
-                         deliver(std::move(m));
-                     });
+    /**
+     * Park @p m in the in-flight pool until tick @p when. The event
+     * captures only {this, slot}, which fits SmallFunction's inline
+     * buffer, so a message costs no heap allocation in flight.
+     */
+    void
+    scheduleDelivery(Tick when, Message&& m)
+    {
+        std::uint32_t slot;
+        if (_freeSlots.empty()) {
+            slot = static_cast<std::uint32_t>(_parked.size());
+            _parked.push_back(std::move(m));
+        } else {
+            slot = _freeSlots.back();
+            _freeSlots.pop_back();
+            _parked[slot] = std::move(m);
+        }
+        _eq.schedule(when, [this, slot] { deliverSlot(slot); });
+    }
+
+    void
+    deliverSlot(std::uint32_t slot)
+    {
+        // Move out and free the slot first: the receiver may send, and
+        // a send may grow _parked.
+        Message m = std::move(_parked[slot]);
+        _freeSlots.push_back(slot);
+        deliver(std::move(m));
     }
 
     void
     deliver(Message&& m)
     {
-        --_inflight;
         // Traffic already in flight when the crash struck: the
         // victim's outstanding sends and its inbound traffic vanish.
         if (_recoveryArmed && (_dead[m.src] || _dead[m.dst])) {
@@ -383,8 +406,13 @@ class Network
     std::vector<Tick> _lastArrive;  ///< per-(src,dst) FIFO clamp
     std::vector<std::uint8_t> _dead; ///< crash-stopped nodes, opt-in
     bool _recoveryArmed = false;     ///< armRecovery() called
-    long _inflight = 0;              ///< scheduled deliveries
     std::uint64_t _crashDrops = 0;   ///< dead-node gate drops
+    /**
+     * In-flight message pool: one slot per scheduled delivery (and per
+     * duplicate copy), recycled through _freeSlots.
+     */
+    std::vector<Message> _parked;
+    std::vector<std::uint32_t> _freeSlots;
 
     // Stat handles resolved once at construction (Counter& from a
     // StatSet is reference-stable) — send() is per-message hot.

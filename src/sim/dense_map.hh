@@ -106,6 +106,24 @@ class DenseMap
         return ref;
     }
 
+    /**
+     * Remove a present key. Its slot returns to the default value and
+     * stays in its bank, so re-inserting the key is O(1).
+     */
+    void
+    erase(std::uint64_t idx)
+    {
+        for (Bank& b : _banks) {
+            const std::uint64_t off = idx - b.base;
+            if (off < b.slots.size() && b.slots[off].present) {
+                b.slots[off] = Slot{};
+                --_size;
+                return;
+            }
+        }
+        tt_panic("DenseMap::erase of absent key ", idx);
+    }
+
     std::size_t size() const { return _size; }
     bool empty() const { return _size == 0; }
 
@@ -221,6 +239,19 @@ class OpenMap
     OpenMap() = default;
     OpenMap(const OpenMap&) = delete;
     OpenMap& operator=(const OpenMap&) = delete;
+
+    /**
+     * Take @p o's table (its slots stay where they are in memory); @p o
+     * is left empty. Lets an owner live in a std::vector.
+     */
+    OpenMap(OpenMap&& o) noexcept
+        : _slots(std::move(o._slots)),
+          _size(std::exchange(o._size, 0)),
+          _mask(std::exchange(o._mask, 0)),
+          _shift(std::exchange(o._shift, 64))
+    {
+        o._slots.clear();
+    }
 
     ~OpenMap()
     {

@@ -83,9 +83,14 @@ class EventQueue
     /** Current simulated time (tick of the most recently popped event). */
     Tick now() const { return _now; }
 
-    /** Schedule @p cb to run at absolute tick @p when. */
+    /**
+     * Schedule callable @p f to run at absolute tick @p when. The
+     * closure is constructed directly in its bucket (or heap entry),
+     * never in a temporary Callback that is then relocated.
+     */
+    template <typename F>
     void
-    schedule(Tick when, Callback cb)
+    schedule(Tick when, F&& f)
     {
         tt_assert(when >= _now, "scheduling event in the past: ", when,
                   " < ", _now);
@@ -95,7 +100,7 @@ class EventQueue
         // so the offset below cannot underflow.
         const Tick off = when - _windowBase;
         if (_useCalendar && off < kWindow) {
-            _buckets[off].push_back(std::move(cb));
+            _buckets[off].emplace_back(std::forward<F>(f));
             _occ[off >> 6] |= 1ull << (off & 63);
             if (off < _cursor) {
                 // runUntil() scanned past this (then-empty) bucket, or
@@ -109,15 +114,18 @@ class EventQueue
             }
         } else {
             const std::uint64_t prio = _perturb ? _prng.next() : 0;
-            _heap.push_back(FarEntry{when, prio, seq, std::move(cb)});
+            _heap.push_back(
+                FarEntry{when, prio, seq, Callback(std::forward<F>(f))});
             std::push_heap(_heap.begin(), _heap.end(), FarAfter{});
         }
     }
 
-    /** Schedule @p cb to run @p delta ticks from now. */
-    void scheduleIn(Tick delta, Callback cb)
+    /** Schedule callable @p f to run @p delta ticks from now. */
+    template <typename F>
+    void
+    scheduleIn(Tick delta, F&& f)
     {
-        schedule(_now + delta, std::move(cb));
+        schedule(_now + delta, std::forward<F>(f));
     }
 
     /** Number of pending events. */

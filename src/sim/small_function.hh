@@ -2,13 +2,14 @@
  * @file
  * A move-only, small-buffer-optimized `void()` callable for event
  * closures. The simulator schedules millions of short-lived lambdas
- * whose captures (a `this` pointer, a tick or two, often a Message by
- * value) fit comfortably inline; std::function's small-buffer window
+ * whose captures are a `this` pointer plus a node id, a tick, a
+ * generation or a slot index; std::function's small-buffer window
  * (16 bytes on libstdc++) forces a heap allocation per event. This
- * type keeps kInlineSize bytes of in-object storage so the hot
- * capture sizes in network.hh, typhoon_mem_system.cc, and stache.cc
+ * type keeps kInlineSize bytes of in-object storage so those captures
  * never touch the allocator; larger captures transparently spill to
- * the heap.
+ * the heap. A Message (~144 bytes) does not fit, so the network parks
+ * in-flight messages in a slot pool and its delivery closure captures
+ * only {this, slot} (network.hh).
  */
 
 #ifndef TT_SIM_SMALL_FUNCTION_HH
@@ -35,7 +36,7 @@ namespace tt
 class SmallFunction
 {
   public:
-    /** In-object storage; sized for a captured Message plus change. */
+    /** In-object storage for the simulator's event captures. */
     static constexpr std::size_t kInlineSize = 120;
 
     SmallFunction() = default;

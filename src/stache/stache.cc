@@ -327,7 +327,7 @@ std::uint64_t
 Stache::entryKey(Addr blk) const
 {
     // Synthetic NP-D-cache address of the 8-byte directory entry.
-    return 0xD000'0000'0000ULL + (blk / _cp.blockSize) * 8;
+    return 0xD000'0000'0000ULL + blockNum(blk, _cp.blockSize) * 8;
 }
 
 Stache::BlockView

@@ -26,9 +26,9 @@ class TyphoonTempest : public Tempest
     registerMsgHandler(HandlerId id, MsgHandler h) override
     {
         auto& handlers = _ms._nodes[_id].msgHandlers;
-        tt_assert(!handlers.count(id), "handler ", id,
+        tt_assert(!handlers.contains(id), "handler ", id,
                   " registered twice at node ", _id);
-        handlers.emplace(id, std::move(h));
+        handlers.insert(id, std::move(h));
     }
 
     void
@@ -66,6 +66,7 @@ TyphoonMemSystem::TyphoonMemSystem(Machine& m, Network& net,
       _net(net),
       _p(params),
       _cp(m.params()),
+      _blocksPerPage(_cp.pageSize / _cp.blockSize),
       _cTlbMisses(m.stats().counter("typhoon.tlb_misses")),
       _cCacheHits(m.stats().counter("typhoon.cache_hits")),
       _cRtlbMisses(m.stats().counter("typhoon.rtlb_misses")),
@@ -214,10 +215,10 @@ TyphoonMemSystem::setupComplete()
     // Record the post-shmalloc canonical extents canonicalize()
     // rewinds to (DESIGN.md §15).
     _setupPpn.clear();
-    _setupTags.clear();
+    _setupPages.clear();
     for (int i = 0; i < _cp.nodes; ++i) {
         _setupPpn.push_back(_nodes[i].phys->nextPpn());
-        _setupTags.push_back(_nodes[i].tags.size());
+        _setupPages.push_back(_nodes[i].pages.size());
     }
 }
 
@@ -249,7 +250,9 @@ TyphoonMemSystem::canonicalize(std::uint64_t epochSeed)
         n.bulkQ.clear();
         n.npBusy = false;
         ++n.npGen; // neutralize any pending busy-clear timer
-        n.tags.resize(_setupTags[static_cast<std::size_t>(i)]);
+        const std::size_t pages = _setupPages[static_cast<std::size_t>(i)];
+        n.pages.resize(pages);
+        n.tags.resize(pages * _blocksPerPage);
         n.phys->canonicalizeAllocator(
             _setupPpn[static_cast<std::size_t>(i)]);
     }
@@ -293,32 +296,68 @@ TyphoonMemSystem::poke(Addr va, const void* buf, std::size_t len)
 // Tag state
 // ---------------------------------------------------------------------
 
-TyphoonMemSystem::PageTags&
-TyphoonMemSystem::pageTags(NodeId node, std::uint64_t ppn)
+TyphoonMemSystem::PageInfo&
+TyphoonMemSystem::pageInfo(NodeId node, std::uint64_t ppn)
 {
-    auto& tags = _nodes[node].tags;
-    tt_assert(ppn < tags.size() && !tags[ppn].tags.empty(),
+    auto& pages = _nodes[node].pages;
+    tt_assert(ppn < pages.size() && pages[ppn].backed,
               "no tag state for physical page ", ppn, " at node ",
               node);
-    return tags[ppn];
+    return pages[ppn];
+}
+
+std::size_t
+TyphoonMemSystem::tagIndex(NodeId node, PAddr pa) const
+{
+    const Node& n = _nodes[node];
+    const std::uint64_t ppn = pageNum(pa, _cp.pageSize);
+    tt_assert(ppn < n.pages.size() && n.pages[ppn].backed,
+              "no tag state for pa ", pa, " at node ", node);
+    return blockNum(pa, _cp.blockSize);
 }
 
 AccessTag
 TyphoonMemSystem::blockTag(NodeId node, PAddr pa) const
 {
-    const auto& tags = _nodes[node].tags;
-    const std::uint64_t ppn = pageNum(pa, _cp.pageSize);
-    tt_assert(ppn < tags.size() && !tags[ppn].tags.empty(),
-              "no tag state for pa ", pa, " at node ", node);
-    return tags[ppn]
-        .tags[blockInPage(pa, _cp.pageSize, _cp.blockSize)];
+    return _nodes[node].tags[tagIndex(node, pa)];
 }
 
 void
 TyphoonMemSystem::setBlockTag(NodeId node, PAddr pa, AccessTag t)
 {
-    pageTags(node, pageNum(pa, _cp.pageSize))
-        .tags[blockInPage(pa, _cp.pageSize, _cp.blockSize)] = t;
+    _nodes[node].tags[tagIndex(node, pa)] = t;
+}
+
+void
+TyphoonMemSystem::setPageTagsOf(NodeId node, std::uint64_t ppn,
+                                AccessTag t)
+{
+    const auto first = _nodes[node].tags.begin() +
+                       static_cast<std::ptrdiff_t>(
+                           tagIndex(node, ppn * _cp.pageSize));
+    std::fill(first, first + _blocksPerPage, t);
+}
+
+void
+TyphoonMemSystem::backPage(NodeId node, std::uint64_t ppn)
+{
+    // Fresh tag state: everything Invalid until the protocol says
+    // otherwise.
+    Node& n = _nodes[node];
+    if (ppn >= n.pages.size()) {
+        n.pages.resize(ppn + 1);
+        n.tags.resize((ppn + 1) * _blocksPerPage);
+    }
+    n.pages[ppn] = PageInfo{0, true};
+    setPageTagsOf(node, ppn, AccessTag::Invalid);
+}
+
+void
+TyphoonMemSystem::unbackPage(NodeId node, std::uint64_t ppn)
+{
+    auto& pages = _nodes[node].pages;
+    if (ppn < pages.size())
+        pages[ppn] = PageInfo{};
 }
 
 // ---------------------------------------------------------------------
@@ -340,8 +379,7 @@ TyphoonMemSystem::recUnmapPage(NodeId node, Addr va)
     n.cpuTlb->invalidate(pageNum(va, _cp.pageSize));
     n.npTlb->invalidate(pageNum(va, _cp.pageSize));
     n.rtlb->invalidate(ppn);
-    if (ppn < n.tags.size())
-        n.tags[ppn] = PageTags{};
+    unbackPage(node, ppn);
     n.pt->unmap(va);
 }
 
@@ -350,10 +388,7 @@ TyphoonMemSystem::recSetPageTags(NodeId node, Addr va, AccessTag t)
 {
     const PageMapping* pm = _nodes[node].pt->lookup(va);
     tt_assert(pm, "recSetPageTags of unmapped va ", va);
-    auto& tags =
-        pageTags(node, pageNum(pm->ppage, _cp.pageSize)).tags;
-    for (auto& tag : tags)
-        tag = t;
+    setPageTagsOf(node, pageNum(pm->ppage, _cp.pageSize), t);
 }
 
 void
@@ -565,14 +600,12 @@ TyphoonMemSystem::footprintBytes() const
         b += n.npDcache->footprintBytes();
         b += n.npTlb->footprintBytes();
         b += n.rtlb->footprintBytes();
-        b += n.tags.capacity() * sizeof(PageTags);
-        for (const PageTags& pt : n.tags)
-            b += pt.tags.capacity() * sizeof(AccessTag);
+        b += n.tags.capacity() * sizeof(AccessTag);
+        b += n.pages.capacity() * sizeof(PageInfo);
         b += n.respQ.size() * sizeof(Message);
         b += n.reqQ.size() * sizeof(Message);
         b += n.bulkQ.size() * sizeof(Node::Bulk);
-        b += n.msgHandlers.size() *
-             (sizeof(HandlerId) + sizeof(MsgHandler));
+        b += n.msgHandlers.footprintBytes();
     }
     return b;
 }
@@ -627,10 +660,9 @@ TyphoonMemSystem::npPump(NodeId id, Tick when)
         // 32-byte MBus transfer (section 5.1) — charged there.
         ctx.charge(static_cast<std::uint32_t>(
             _p.perWordCost * (1 + msg.args.size())));
-        auto it = n.msgHandlers.find(msg.handler);
-        tt_assert(it != n.msgHandlers.end(),
-                  "no handler registered for message id ", msg.handler,
-                  " at node ", id);
+        MsgHandler* handler = n.msgHandlers.find(msg.handler);
+        tt_assert(handler, "no handler registered for message id ",
+                  msg.handler, " at node ", id);
         _cNpMsgHandled.inc();
         if (_checker)
             _checker->onMsgDeliver(msg);
@@ -642,7 +674,7 @@ TyphoonMemSystem::npPump(NodeId id, Tick when)
             // activation record itself carries the id too.
             _obs->beginAct(id, msg.txn);
         }
-        it->second(ctx, msg);
+        (*handler)(ctx, msg);
         if (_obs) {
             _obs->handlerDone(id, ActKind::Msg, msg.handler, msg.obsId,
                               when, ctx.charged());
@@ -737,10 +769,9 @@ TyphoonMemSystem::registerBuiltinHandlers(NodeId id)
         ctx.forceWrite(dstVa, msg.data.data(),
                        static_cast<std::uint32_t>(msg.data.size()));
         if (last && done != 0) {
-            auto it = _nodes[ctx.nodeId()].msgHandlers.find(done);
-            tt_assert(it != _nodes[ctx.nodeId()].msgHandlers.end(),
-                      "bulk done-handler ", done, " not registered");
-            it->second(ctx, msg);
+            MsgHandler* h = _nodes[ctx.nodeId()].msgHandlers.find(done);
+            tt_assert(h, "bulk done-handler ", done, " not registered");
+            (*h)(ctx, msg);
         }
     };
 }
@@ -984,17 +1015,8 @@ void
 NpCtx::mapPage(Addr va, PAddr pa, std::uint8_t mode)
 {
     charge(static_cast<std::uint32_t>(_ms._p.mapOpCost));
-    auto& n = _ms._nodes[_node];
-    n.pt->map(va, pa, mode);
-    // Fresh tag state: everything Invalid until the protocol says
-    // otherwise.
-    TyphoonMemSystem::PageTags fresh;
-    fresh.tags.assign(_ms._cp.pageSize / _ms._cp.blockSize,
-                      AccessTag::Invalid);
-    const std::uint64_t ppn = pageNum(pa, _ms._cp.pageSize);
-    if (ppn >= n.tags.size())
-        n.tags.resize(ppn + 1);
-    n.tags[ppn] = std::move(fresh);
+    _ms._nodes[_node].pt->map(va, pa, mode);
+    _ms.backPage(_node, pageNum(pa, _ms._cp.pageSize));
     if (_ms._checker)
         _ms._checker->onPageMap(_node,
                                 alignDown(va, _ms._cp.pageSize), mode);
@@ -1019,7 +1041,7 @@ NpCtx::unmapPage(Addr va)
     n.cpuTlb->invalidate(pageNum(va, _ms._cp.pageSize));
     n.npTlb->invalidate(pageNum(va, _ms._cp.pageSize));
     n.rtlb->invalidate(ppn);
-    n.tags[ppn] = TyphoonMemSystem::PageTags{};
+    _ms.unbackPage(_node, ppn);
     n.pt->unmap(va);
     if (_ms._checker)
         _ms._checker->onPageUnmap(_node, page);
@@ -1069,8 +1091,7 @@ NpCtx::pageUserWord(Addr va) const
 {
     const PageMapping* pm = _ms._nodes[_node].pt->lookup(va);
     tt_assert(pm, "pageUserWord of unmapped va ", va);
-    return const_cast<NpCtx*>(this)
-        ->_ms.pageTags(_node, pageNum(pm->ppage, _ms._cp.pageSize))
+    return _ms.pageInfo(_node, pageNum(pm->ppage, _ms._cp.pageSize))
         .userWord;
 }
 
@@ -1080,7 +1101,7 @@ NpCtx::setPageUserWord(Addr va, std::uint64_t w)
     charge(static_cast<std::uint32_t>(_ms._p.tagOpCost));
     const PageMapping* pm = _ms._nodes[_node].pt->lookup(va);
     tt_assert(pm, "setPageUserWord of unmapped va ", va);
-    _ms.pageTags(_node, pageNum(pm->ppage, _ms._cp.pageSize))
+    _ms.pageInfo(_node, pageNum(pm->ppage, _ms._cp.pageSize))
         .userWord = w;
 }
 
@@ -1123,10 +1144,7 @@ NpCtx::setPageTags(Addr va, AccessTag t)
     charge(static_cast<std::uint32_t>(_ms._p.pageTagInitCost));
     const PageMapping* pm = _ms._nodes[_node].pt->lookup(va);
     tt_assert(pm, "setPageTags of unmapped va ", va);
-    auto& tags =
-        _ms.pageTags(_node, pageNum(pm->ppage, _ms._cp.pageSize)).tags;
-    for (auto& tag : tags)
-        tag = t;
+    _ms.setPageTagsOf(_node, pageNum(pm->ppage, _ms._cp.pageSize), t);
     if (_ms._checker)
         _ms._checker->onPageTags(_node,
                                  alignDown(va, _ms._cp.pageSize), t);

@@ -27,7 +27,6 @@
 #include <deque>
 #include <memory>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
 #include "core/machine.hh"
@@ -38,6 +37,7 @@
 #include "mem/phys_mem.hh"
 #include "mem/tlb_model.hh"
 #include "net/network.hh"
+#include "sim/dense_map.hh"
 #include "typhoon/params.hh"
 
 namespace tt
@@ -189,11 +189,14 @@ class TyphoonMemSystem : public MemorySystem
     friend class NpCtx;
     friend class TyphoonTempest;
 
-    /** Per-page tag block (the RTLB's backing state). */
-    struct PageTags
+    /**
+     * Per-page RTLB state beside the flat per-block tag array: whether
+     * the physical page is mapped (its tags are live) and its user word.
+     */
+    struct PageInfo
     {
-        std::vector<AccessTag> tags; ///< one per block in the page
-        std::uint64_t userWord = 0;  ///< 48-bit uninterpreted state
+        std::uint64_t userWord = 0; ///< 48-bit uninterpreted state
+        bool backed = false;        ///< mapped: tags[] entries are live
     };
 
     /** Block access fault record (the BAF buffer entry). */
@@ -217,11 +220,14 @@ class TyphoonMemSystem : public MemorySystem
         std::unique_ptr<TlbModel> npTlb;
         std::unique_ptr<TlbModel> rtlb;
         /**
-         * Tag state, indexed by ppn. Node physical pages are
-         * bump-allocated from ppn 1, so the vector stays dense; a
-         * page with no per-block tags vector is unbacked.
+         * Tag state (the RTLB's backing store), one AccessTag per
+         * physical block, indexed by pa / blockSize (= ppn *
+         * blocksPerPage + block), and one PageInfo per ppn. Node
+         * physical pages are bump-allocated from ppn 1, so both
+         * vectors stay dense.
          */
-        std::vector<PageTags> tags;
+        std::vector<AccessTag> tags;
+        std::vector<PageInfo> pages;
         std::deque<Message> respQ;
         std::deque<Message> reqQ;
         std::optional<Baf> baf;
@@ -234,7 +240,7 @@ class TyphoonMemSystem : public MemorySystem
          * must not let the stale timer clear a fresh activation.
          */
         std::uint64_t npGen = 0;
-        std::unordered_map<HandlerId, MsgHandler> msgHandlers;
+        OpenMap<HandlerId, MsgHandler> msgHandlers;
         /** Indexed by faultKey(); modes are small (<= 15). */
         std::array<FaultHandler, 32> faultHandlers;
         PageFaultHandler pageFaultHandler;
@@ -277,9 +283,13 @@ class TyphoonMemSystem : public MemorySystem
     void registerBuiltinHandlers(NodeId node);
 
     // Tag access helpers (zero-cost; timing charged by callers).
-    PageTags& pageTags(NodeId node, std::uint64_t ppn);
+    PageInfo& pageInfo(NodeId node, std::uint64_t ppn);
+    std::size_t tagIndex(NodeId node, PAddr pa) const;
     AccessTag blockTag(NodeId node, PAddr pa) const;
     void setBlockTag(NodeId node, PAddr pa, AccessTag t);
+    void setPageTagsOf(NodeId node, std::uint64_t ppn, AccessTag t);
+    void backPage(NodeId node, std::uint64_t ppn);
+    void unbackPage(NodeId node, std::uint64_t ppn);
 
     Machine& _m;
     Network& _net;
@@ -293,11 +303,13 @@ class TyphoonMemSystem : public MemorySystem
 
     /**
      * Post-setup canonical extents, recorded by setupComplete(): the
-     * per-node physical-page allocator watermark and tags-vector size
+     * per-node physical-page allocator watermark and page-vector size
      * canonicalize() rewinds to (DESIGN.md §15).
      */
     std::vector<std::uint64_t> _setupPpn;
-    std::vector<std::size_t> _setupTags;
+    std::vector<std::size_t> _setupPages;
+
+    const std::uint32_t _blocksPerPage; ///< tags per PageInfo
 
     // Hot-path stat handles, resolved once at construction (StatSet
     // hands out stable references).

@@ -195,6 +195,13 @@ TEST(Builders, ValidateReportsEveryGeometryError)
     big.core.cacheSize = 1024; // and no 4-way set of it fits
     EXPECT_EQ(big.validate().size(), 2u);
 
+    // Page and block numbers are shifts, so pages are powers of two.
+    MachineConfig oddPage;
+    oddPage.core.pageSize = 3000;
+    EXPECT_EQ(oddPage.validate().size(), 1u);
+    oddPage.core.pageSize = 0; // and then no block fits in a page
+    EXPECT_EQ(oddPage.validate().size(), 2u);
+
     // Fault specs name nodes of the machine: one error per crash@ or
     // cut= outside [0, nodes), a cut once for both of its directions.
     MachineConfig faulty;
@@ -209,6 +216,7 @@ TEST(Builders, ValidateReportsEveryGeometryError)
     EXPECT_THROW(buildDirNNB(bad), FatalError);
     EXPECT_THROW(buildTyphoonStache(big), FatalError);
     EXPECT_THROW(buildTyphoonStache(faulty), FatalError);
+    EXPECT_THROW(buildTyphoonStache(oddPage), FatalError);
 }
 
 /** runTarget on a checked tiny run of @p app on 8 nodes of @p system. */

@@ -56,6 +56,35 @@ TEST(FaultSpec, RejectsBadInput)
     EXPECT_THROW(parseFaultSpec(""), std::runtime_error);
 }
 
+TEST(FaultSpec, EveryNumberParsesWhole)
+{
+    // Each of these once ran: a node id of 0 from "abc", a prefix of
+    // "0.01xyz", seed 0 from "abc", a 0-0 self-link cut from "a-b".
+    for (const char* bad :
+         {"crash@30000:abc,seed=5", "drop=0.01xyz,seed=1",
+          "drop=0.01,seed=abc", "cut=a-b,seed=1", "cut=1-,seed=1",
+          "crash@30000x:1", "crash@30000:", "reorder=0.1:8q",
+          "drop=,seed=1", "drop=nan", "seed=-1,drop=0.1"})
+        EXPECT_THROW(parseFaultSpec(bad), FatalError) << bad;
+}
+
+TEST(FaultSpec, CompleteSpecsKeepTheirMeaning)
+{
+    // Ticks and seeds keep base-0 parsing (0x.. hex, 0.. octal).
+    const FaultParams p = parseFaultSpec(
+        "crash@0x7530:3,crash@30000:-1,reorder=1e-1:0x20,seed=0x10");
+    ASSERT_EQ(p.crashes.size(), 2u);
+    EXPECT_EQ(p.crashes[0], (std::pair<Tick, NodeId>{30000, 3}));
+    // An out-of-machine node is MachineConfig::validate()'s to report.
+    EXPECT_EQ(p.crashes[1], (std::pair<Tick, NodeId>{30000, -1}));
+    EXPECT_DOUBLE_EQ(p.reorder, 0.1);
+    EXPECT_EQ(p.reorderMax, 32u);
+    EXPECT_EQ(p.seed, 16u);
+    EXPECT_EQ(parseFaultSpec("drop=1,seed=010").seed, 8u);
+    EXPECT_EQ(parseFaultSpec("cut=0-7").cuts[1],
+              (std::pair<NodeId, NodeId>{7, 0}));
+}
+
 TEST(SeededFaultModel, SameSeedReplaysBitIdentically)
 {
     FaultParams p;

@@ -2,9 +2,42 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <new>
 #include <vector>
 
 #include "net/network.hh"
+
+// Counting global allocator: the in-flight path must not allocate per
+// message (NetAlloc below). Counting is off except inside that test.
+namespace
+{
+bool g_countAllocs = false;
+std::size_t g_allocs = 0;
+} // namespace
+
+void*
+operator new(std::size_t n)
+{
+    if (g_countAllocs)
+        ++g_allocs;
+    if (void* p = std::malloc(n ? n : 1))
+        return p;
+    throw std::bad_alloc();
+}
+
+// Out of line, so the compiler never sees new's pointer reach free().
+[[gnu::noinline]] void
+operator delete(void* p) noexcept
+{
+    std::free(p);
+}
+
+[[gnu::noinline]] void
+operator delete(void* p, std::size_t) noexcept
+{
+    std::free(p);
+}
 
 namespace tt
 {
@@ -190,6 +223,120 @@ TEST_F(NetFixture, SendFromInvalidSourcePanics)
     // or host-injection convention.
     EXPECT_THROW(net.send(makeMsg(kNoNode, 1, 1), 0), std::logic_error);
     EXPECT_THROW(net.send(makeMsg(4, 1, 1), 0), std::logic_error);
+}
+
+TEST_F(NetFixture, InFlightSlotsAreReused)
+{
+    // Three messages in flight hold three slots; once they deliver,
+    // later traffic reuses those slots instead of growing the pool.
+    for (NodeId d = 1; d < 4; ++d)
+        net.send(makeMsg(0, d, d), 0);
+    EXPECT_EQ(net.inflight(), 3);
+    eq.run();
+    EXPECT_EQ(net.inflight(), 0);
+    const std::size_t footprint = net.footprintBytes();
+    for (int i = 0; i < 100; ++i) {
+        net.send(makeMsg(i % 4, (i + 1) % 4, 9), eq.now());
+        if (i % 3 == 2)
+            eq.run();
+    }
+    eq.run();
+    EXPECT_EQ(received.size(), 103u);
+    EXPECT_EQ(net.inflight(), 0);
+    EXPECT_EQ(net.footprintBytes(), footprint);
+}
+
+/** Duplicates every remote message, the copy @p lag ticks later. */
+struct DupAll : FaultModel
+{
+    Tick lag = 5;
+
+    Verdict
+    onMessage(const Message&, Tick, Tick arrive) override
+    {
+        return Verdict{false, arrive, arrive + lag};
+    }
+};
+
+TEST_F(NetFixture, DupCopyAndOriginalBothDeliver)
+{
+    DupAll dup;
+    net.setFaults(&dup);
+    Message m = makeMsg(0, 1, 77);
+    m.args = {1, 2, 3, 4};
+    net.send(std::move(m), 0);
+    EXPECT_EQ(net.inflight(), 2); // original and copy, one slot each
+    eq.run();
+    ASSERT_EQ(received.size(), 2u);
+    EXPECT_EQ(received[0].first, 12u);
+    EXPECT_EQ(received[1].first, 17u);
+    for (const auto& [tick, r] : received) {
+        EXPECT_EQ(r.handler, 77u);
+        EXPECT_EQ(r.args, (Message::Args{1, 2, 3, 4}));
+    }
+    EXPECT_EQ(net.inflight(), 0);
+}
+
+TEST_F(NetFixture, ResetForRecoveryEmptiesThePool)
+{
+    // A crash rollback drops every pending delivery event, then
+    // resets the fabric: no slot may stay live, and sending resumes.
+    for (int i = 0; i < 5; ++i)
+        net.send(makeMsg(i % 4, (i + 1) % 4, 1), 0);
+    EXPECT_EQ(net.inflight(), 5);
+    eq.clearPending();
+    net.resetForRecovery();
+    EXPECT_EQ(net.inflight(), 0);
+    net.send(makeMsg(2, 3, 8), eq.now());
+    EXPECT_EQ(net.inflight(), 1);
+    eq.run();
+    ASSERT_EQ(received.size(), 1u);
+    EXPECT_EQ(received[0].second.handler, 8u);
+    EXPECT_EQ(net.inflight(), 0);
+}
+
+/**
+ * Allocations made by @p trips send -> deliver round trips of a
+ * 4-word, 32-byte message on a warmed-up fabric.
+ */
+std::size_t
+allocsPerRoundTrips(int trips)
+{
+    EventQueue eq;
+    StatSet stats;
+    Network net(eq, 2, NetworkParams{}, stats);
+    std::uint64_t delivered = 0;
+    net.setReceiver(0, [&](Message&&) { ++delivered; });
+    net.setReceiver(1, [&](Message&&) { ++delivered; });
+    auto trip = [&] {
+        Message m;
+        m.src = 0;
+        m.dst = 1;
+        m.handler = 3;
+        m.args = {1, 2, 3, 4};
+        m.data.resize(32);
+        net.send(std::move(m), eq.now());
+        eq.run();
+    };
+    for (int i = 0; i < 1000; ++i) // warm the calendar and the pool
+        trip();
+    g_allocs = 0;
+    g_countAllocs = true;
+    for (int i = 0; i < trips; ++i)
+        trip();
+    g_countAllocs = false;
+    EXPECT_EQ(delivered, 1000u + static_cast<std::uint64_t>(trips));
+    return g_allocs;
+}
+
+TEST(NetAlloc, InFlightMessagesDoNotAllocate)
+{
+    // A bounded count, independent of the number of messages: the
+    // delivery closure captures {this, slot}, not the Message.
+    const std::size_t small = allocsPerRoundTrips(1000);
+    const std::size_t large = allocsPerRoundTrips(10000);
+    EXPECT_LE(small, 4u);
+    EXPECT_LE(large, 4u);
 }
 
 } // namespace

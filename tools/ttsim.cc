@@ -15,8 +15,6 @@
  */
 
 #include <algorithm>
-#include <cctype>
-#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -25,7 +23,6 @@
 #include <limits>
 #include <optional>
 #include <string>
-#include <type_traits>
 #include <vector>
 
 #include "apps/workloads.hh"
@@ -33,6 +30,7 @@
 #include "config/campaign.hh"
 #include "obs/sharing.hh"
 #include "obs/txn.hh"
+#include "sim/parse_num.hh"
 
 using namespace tt;
 
@@ -180,40 +178,6 @@ usage()
 constexpr int kIntMin = std::numeric_limits<int>::min();
 constexpr int kIntMax = std::numeric_limits<int>::max();
 constexpr std::uint64_t kU64Max = std::numeric_limits<std::uint64_t>::max();
-
-/**
- * The whole of @p v, the value of flag @p arg, as a T in [@p lo,
- * @p hi], or a usage error (exit 2): an empty value, trailing text,
- * or a value out of range. Integers parse in @p base; seeds pass 0,
- * which also takes the 0x and 0 prefixes.
- */
-template <typename T>
-T
-parseNum(const std::string& arg, const std::string& v, T lo, T hi,
-         int base = 10)
-{
-    const char* s = v.c_str();
-    char* end = nullptr;
-    errno = 0;
-    bool ok = !v.empty() && !std::isspace(static_cast<unsigned char>(*s));
-    T x{};
-    if constexpr (std::is_floating_point_v<T>) {
-        x = std::strtod(s, &end);
-        ok = ok && x >= lo && x <= hi; // and never NaN
-    } else if constexpr (std::is_signed_v<T>) {
-        const long long n = std::strtoll(s, &end, base);
-        ok = ok && n >= lo && n <= hi;
-        x = static_cast<T>(n);
-    } else {
-        // strtoull negates a leading '-' instead of refusing it.
-        const unsigned long long n = std::strtoull(s, &end, base);
-        ok = ok && *s != '-' && n >= lo && n <= hi;
-        x = static_cast<T>(n);
-    }
-    if (!ok || errno == ERANGE || end != s + v.size())
-        tt_fatal(arg, ": want a number in [", lo, ", ", hi, "]");
-    return x;
-}
 
 bool
 parseArg(Options& o, const std::string& arg)

@@ -34,7 +34,11 @@ set(cases
     "--scale=0"
     "--perturb=1 --jitter=-1"
     "--seed=abc"
-    "--trace-ring=0")
+    "--trace-ring=0"
+    "--faults=crash@30000:abc,seed=5"
+    "--faults=drop=0.01xyz,seed=1"
+    "--faults=drop=0.01,seed=abc"
+    "--faults=cut=a-b,seed=1")
 
 set(failed 0)
 foreach(arg IN LISTS cases)
