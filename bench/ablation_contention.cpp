@@ -35,8 +35,9 @@ runDriver()
         RunOutcome stache;
         std::uint64_t queued = 0;
         {
-            auto t = buildTyphoonStache(cfg);
-            auto a = makeWorkload("em3d", DataSet::Small, scale);
+            TargetMachine t = buildTarget("stache", cfg);
+            const auto a = makeTargetApp("stache", "em3d", DataSet::Small,
+                                         scale, 0.2, t);
             stache = runApp(t, *a);
             queued = t.m().stats().get("net.eject_queued");
         }

@@ -36,8 +36,9 @@ runDriver()
             RunOutcome mig;
             std::uint64_t promos = 0;
             {
-                auto t = buildTyphoonMigratory(cfg);
-                auto a = makeWorkload(app, ds, scale);
+                TargetMachine t = buildTarget("migratory", cfg);
+                const auto a =
+                    makeTargetApp("migratory", app, ds, scale, 0.2, t);
                 mig = runApp(t, *a);
                 promos = t.migratory->promotions();
             }

@@ -32,8 +32,9 @@ runDriver()
         MachineConfig cfg;
         cfg.core.nodes = nodes;
         cfg.core.quantum = q;
-        auto t = buildTyphoonStache(cfg);
-        auto a = makeWorkload("em3d", DataSet::Small, scale);
+        TargetMachine t = buildTarget("stache", cfg);
+        const auto a =
+            makeTargetApp("stache", "em3d", DataSet::Small, scale, 0.2, t);
         const auto t0 = std::chrono::steady_clock::now();
         RunOutcome o = runApp(t, *a);
         const auto ms =

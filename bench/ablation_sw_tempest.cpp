@@ -38,9 +38,8 @@ runDriver()
     for (Tick chk : {0u, 1u, 2u, 4u, 8u}) {
         MachineConfig cfg = base;
         cfg.typhoon.swCheckCost = chk;
-        auto t = buildTyphoonStache(cfg);
-        auto a = makeWorkload("em3d", DataSet::Small, scale);
-        const RunOutcome sw = runApp(t, *a);
+        const RunOutcome sw =
+            runCase("stache", "em3d", DataSet::Small, scale, cfg);
         if (sw.checksum != dir.checksum) {
             std::printf("CHECKSUM MISMATCH at check=%llu\n",
                         (unsigned long long)chk);

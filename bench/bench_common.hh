@@ -81,12 +81,20 @@ struct RunOutcome
     std::uint64_t workUnits = 0;
 };
 
-/** Run @p app on @p target; returns cycles + checksum. */
+/**
+ * Run @p app on @p target through runTarget; returns cycles +
+ * checksum. A run that does not end ok is a tt_panic that names the
+ * outcome and its detail.
+ */
 inline RunOutcome
 runApp(TargetMachine& target, BenchApp& app)
 {
-    const RunResult r = target.run(app);
-    return RunOutcome{r.execTime, app.checksum(), app.workUnits()};
+    const TargetRun run = runTarget(target, app);
+    if (run.outcome != "ok")
+        tt_panic(app.name(), " run ended ", run.outcome, ": ",
+                 run.detail);
+    return RunOutcome{run.result.execTime, run.checksum,
+                      app.workUnits()};
 }
 
 /**

@@ -6,11 +6,8 @@
  * instructions for the remote node to respond with the data, and 20
  * instructions when the data arrives"), measured on real Stache
  * handler activations (the HandlerDone records of the flight
- * recorder). Google-benchmark micro-benchmarks of the host
- * simulator's tag-operation throughput follow.
+ * recorder).
  */
-
-#include <benchmark/benchmark.h>
 
 #include <cstdio>
 
@@ -94,53 +91,12 @@ printMissPathAudit()
                 audit.dataRO.mean());
 }
 
-// ---- host-simulator micro-benchmarks --------------------------------
-
-void
-BM_TagOpReadTag(benchmark::State& state)
-{
-    test::StacheRig rig(2);
-    Addr a = rig.stache->shmalloc(4096, 0);
-    NpCtx ctx(*rig.mem, 0, 0, true);
-    for (auto _ : state)
-        benchmark::DoNotOptimize(ctx.readTag(a));
-}
-BENCHMARK(BM_TagOpReadTag);
-
-void
-BM_TagOpSetInvalidate(benchmark::State& state)
-{
-    test::StacheRig rig(2);
-    Addr a = rig.stache->shmalloc(4096, 0);
-    NpCtx ctx(*rig.mem, 0, 0, true);
-    for (auto _ : state) {
-        ctx.invalidate(a);
-        ctx.setRW(a);
-    }
-}
-BENCHMARK(BM_TagOpSetInvalidate);
-
-void
-BM_ForceWrite32(benchmark::State& state)
-{
-    test::StacheRig rig(2);
-    Addr a = rig.stache->shmalloc(4096, 0);
-    NpCtx ctx(*rig.mem, 0, 0, true);
-    std::uint8_t buf[32] = {1, 2, 3};
-    for (auto _ : state)
-        ctx.forceWrite(a, buf, 32);
-}
-BENCHMARK(BM_ForceWrite32);
-
 } // namespace
 
 int
-main(int argc, char** argv)
+main()
 {
     printTable1();
     printMissPathAudit();
-    std::printf("\nHost micro-benchmarks of the simulated ops:\n");
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
     return 0;
 }

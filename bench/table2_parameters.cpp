@@ -7,8 +7,6 @@
  * the configured value.
  */
 
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
 #include <iostream>
 
@@ -106,37 +104,13 @@ validate()
     }
 }
 
-void
-BM_SimulatedLocalMissThroughput(benchmark::State& state)
-{
-    // Host cost of simulating a stream of local misses (DirNNB).
-    test::DirRig rig(1);
-    Addr a = rig.mem->shmalloc(1 << 20, 0);
-    std::size_t i = 0;
-    for (auto _ : state) {
-        state.PauseTiming();
-        test::FnApp app([&](Cpu& cpu) -> Task<void> {
-            for (int k = 0; k < 1024; ++k)
-                co_await cpu.read<int>(a + ((i + k) * 32) % (1 << 20));
-        });
-        state.ResumeTiming();
-        rig.machine->run(app);
-        i += 1024;
-    }
-    state.SetItemsProcessed(state.iterations() * 1024);
-}
-BENCHMARK(BM_SimulatedLocalMissThroughput);
-
 } // namespace
 
 int
-main(int argc, char** argv)
+main()
 {
     MachineConfig cfg;
     printTable2(std::cout, cfg);
     validate();
-    std::printf("\nHost micro-benchmark:\n");
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
     return 0;
 }

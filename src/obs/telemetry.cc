@@ -97,17 +97,13 @@ void
 Telemetry::runEnd()
 {
     sampleMemory();
+    // Set here, not in refreshCounters: the run is over, so a sampled
+    // --trace never sees this counter move.
+    _stats.counter("obs.telemetry.mem.peak_bytes_per_node")
+        .set(static_cast<std::uint64_t>(peakBytesPerNode()));
     _results.clear();
     for (const Probe& p : _probes)
         _results.push_back(ProbeResult{p.name, p.cur, p.peak});
-}
-
-void
-Telemetry::finalize()
-{
-    refreshCounters();
-    _stats.counter("obs.telemetry.mem.peak_bytes_per_node")
-        .set(static_cast<std::uint64_t>(peakBytesPerNode()));
 }
 
 void

@@ -72,15 +72,12 @@ class Telemetry
     /** Take the first memory sample. */
     void runBegin();
 
-    /** Take the final memory sample and fix the probe results. */
-    void runEnd();
-
     /**
-     * Fold results into the StatSet (idempotent: values are set, not
-     * accumulated). Call after runEnd(), before any --stats-json
-     * write.
+     * Take the final memory sample, fix the probe results and fold
+     * them into the StatSet (obs.telemetry.mem.*), ready for any
+     * --stats-json write.
      */
-    void finalize();
+    void runEnd();
 
     // --- report -------------------------------------------------------
 

@@ -263,5 +263,27 @@ TEST(Builders, RunTargetSortsEveryEndingIntoAnOutcome)
     EXPECT_THROW(runTarget(t, *a), FatalError);
 }
 
+TEST(Builders, RunTargetFoldsTelemetryOnEveryEnding)
+{
+    // runTarget's last telemetry sample folds peak bytes per node into
+    // the stats, so an aborted run's --stats-json holds it too.
+    for (const bool abort : {false, true}) {
+        MachineConfig cfg;
+        cfg.core.nodes = 8;
+        cfg.check.enable = true;
+        cfg.obs.telemetry = true;
+        cfg.stache.faultSkipDowngrade = abort;
+        TargetMachine t = buildTarget("stache", cfg);
+        auto a = makeTargetApp("stache", "mp3d", DataSet::Tiny, 1, 0.2, t);
+        EXPECT_EQ(runTarget(t, *a).outcome, abort ? "panic" : "ok");
+        const std::size_t peak = t.telemetry->totalPeakBytes();
+        EXPECT_GT(peak, 0u);
+        EXPECT_EQ(
+            t.m().stats().get("obs.telemetry.mem.peak_bytes_per_node"),
+            peak / 8)
+            << (abort ? "panic" : "ok");
+    }
+}
+
 } // namespace
 } // namespace tt

@@ -50,7 +50,7 @@ TEST(Telemetry, ProbesTrackCurrentAndPeak)
     EXPECT_EQ(telem.memSamples(), 4u);
 }
 
-TEST(Telemetry, FinalizeFoldsStats)
+TEST(Telemetry, RunEndFoldsStats)
 {
     StatSet stats;
     Telemetry telem(stats, 4);
@@ -58,7 +58,6 @@ TEST(Telemetry, FinalizeFoldsStats)
     telem.registerStats();
     telem.runBegin();
     telem.runEnd();
-    telem.finalize();
     EXPECT_EQ(stats.get("obs.telemetry.mem.probe.peak_bytes"), 1024u);
     EXPECT_EQ(stats.get("obs.telemetry.mem.total_peak_bytes"), 1024u);
     EXPECT_EQ(stats.get("obs.telemetry.mem.peak_bytes_per_node"),

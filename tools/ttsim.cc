@@ -749,9 +749,6 @@ run(int argc, char** argv)
     }
 
     if (target.telemetry) {
-        // Fold before any --stats-json write so obs.telemetry.*
-        // lands in the dump.
-        target.telemetry->finalize();
         target.telemetry->printSummary(std::cout);
         if (!o.telemetryJson.empty()) {
             if (!target.telemetry->writeReportFile(o.telemetryJson)) {
