@@ -95,10 +95,7 @@ const PassRow kPasses[] = {
      true, nullptr},
     // The flight recorder: rings plus a trace stream (--trace).
     {{"trace", "", "trace_overhead", "trace"},
-     [](MachineConfig& c) {
-         c.obs.enable = true;
-         c.obs.traceFile = kTraceScratch;
-     },
+     [](MachineConfig& c) { c.obs.traceFile = kTraceScratch; },
      true, nullptr},
     // The sharing analyzer folding every access (--analyze, §11).
     {{"analyze", "", "analyze_overhead", "analyze"},

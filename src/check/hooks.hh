@@ -1,19 +1,14 @@
 /**
  * @file
- * CheckHooks — the observation interface between the memory systems
- * and the opt-in coherence sanitizer (src/check/protocol_checker.hh).
+ * CheckHooks — the interface through which the opt-in coherence
+ * sanitizer (src/check/protocol_checker.hh) observes a run.
  *
- * Every instrumented subsystem (TyphoonMemSystem, Stache,
- * DirMemSystem, Network) holds a `CheckHooks* _checker = nullptr`
- * and guards each notification with `if (_checker)`.  When no checker
- * is attached the hooks cost one never-taken branch on a pointer that
- * lives in an already-hot cache line — bench_simcore verifies the
- * disabled-path cost stays within noise (see BENCH_simcore.json
- * "checker" entry and DESIGN.md §8).
- *
- * This header is deliberately dependency-light (opaque AccessTag
- * declaration, no protocol headers) so that src/net can include it
- * without acquiring a link-time dependency on the checker library.
+ * No producer calls it: every instrumented subsystem notifies only its
+ * FlightRecorder (src/obs/recorder.hh), which forwards to the
+ * CheckHooks installed by FlightRecorder::setChecker (DESIGN.md §8).
+ * It stays an interface because tt_obs sits below tt_check in the link
+ * graph, and it stays dependency-light (opaque AccessTag declaration,
+ * no protocol headers) so the recorder can include it.
  */
 
 #ifndef TT_CHECK_HOOKS_HH
@@ -42,7 +37,8 @@ enum class AccessTag : std::uint8_t; // full definition in core/tempest.hh
  *  - onBlockEvent: directory-side transition that does not move a tag
  *    (sharer-set edits, transient open/close, writeback application).
  *    `what` must be a string literal — it is stored, not copied.
- *  - onMsgSend: fired by Network::send before the message departs.
+ *  - onMsgSend: fired by Network::send before the message departs
+ *    (original sends only, not transport re-injections).
  *  - onMsgDeliver: fired when a protocol *handler begins executing*
  *    the message (Typhoon npPump dispatch / DirMemSystem::onMessage
  *    entry) — not at network delivery, because Typhoon queues

@@ -88,6 +88,20 @@ ProtocolChecker::attachDirnnb(DirMemSystem& ms)
               "checker already attached to a memory system; one "
               "ProtocolChecker instance validates exactly one target");
     _dms = &ms;
+    // Mirror every cache line-state mutation into the copy tables; the
+    // central CacheModel hook covers fills, victim evictions,
+    // invalidations, downgrades, upgrades and flushes, so the mirror
+    // cannot drift from reality via a missed call site (DESIGN.md §13).
+    for (NodeId n = 0; n < _nodes; ++n) {
+        ms.cacheOf(n).setStateListener([this, n](Addr blk, LineState st) {
+            AccessTag t = AccessTag::Invalid;
+            if (st == LineState::Shared)
+                t = AccessTag::ReadOnly;
+            else if (st == LineState::Owned)
+                t = AccessTag::ReadWrite;
+            onTagChange(n, blk, t);
+        });
+    }
 }
 
 // --------------------------------------------------------------------

@@ -4,7 +4,8 @@
  *
  * A DRD-style runtime verifier that observes every tag transition,
  * directory update, message send/delivery, and completed CPU access
- * through the CheckHooks interface, and validates global coherence
+ * through the CheckHooks interface — fed by the flight recorder, the
+ * one seam the producers notify — and validates global coherence
  * invariants after every protocol event:
  *
  *  - swmr: at most one writable copy of a block system-wide, and no
@@ -95,7 +96,8 @@ class ProtocolChecker final : public CheckHooks
 
     /// Attach to a Typhoon target (Stache or a Stache subclass).
     void attachTyphoon(TyphoonMemSystem& ms, Stache& protocol);
-    /// Attach to the DirNNB all-hardware baseline.
+    /// Attach to the DirNNB all-hardware baseline, installing a state
+    /// listener on every node cache (its line states are DirNNB's tags).
     void attachDirnnb(DirMemSystem& ms);
 
     /// Record the perturbation seed for the failure report (0 = none).

@@ -99,11 +99,12 @@ protoOf(const std::string& system)
 }
 
 /**
- * Wire the sanitizer into a freshly built target: one checker
- * observes the memory system, the protocol (Typhoon targets), and the
- * network. Perturbation of same-tick order is applied to the
- * machine's event queue here so callers only have to pick the queue
- * mode (ReferenceHeap) before building.
+ * Wire the sanitizer into a freshly built target: the recorder that
+ * attachObserver built for the checked run feeds it everything the
+ * memory system, the protocol and the network notify. Perturbation of
+ * same-tick order is applied to the machine's event queue here so
+ * callers only have to pick the queue mode (ReferenceHeap) before
+ * building. Must run after attachObserver.
  */
 void
 attachChecker(TargetMachine& t, const CheckConfig& cc)
@@ -111,15 +112,11 @@ attachChecker(TargetMachine& t, const CheckConfig& cc)
     if (!cc.enable)
         return;
     t.checker = std::make_unique<ProtocolChecker>(*t.machine, cc.mode);
-    if (t.dir) {
+    if (t.dir)
         t.checker->attachDirnnb(*t.dir);
-        t.dir->setChecker(t.checker.get());
-    } else {
+    else
         t.checker->attachTyphoon(*t.typhoon, *t.protocol);
-        t.typhoon->setChecker(t.checker.get());
-        t.protocol->setChecker(t.checker.get());
-    }
-    t.network->setChecker(t.checker.get());
+    t.obs->setChecker(t.checker.get());
     if (cc.perturb) {
         t.checker->setSeed(cc.perturbSeed);
         t.machine->eq().setPerturb(cc.perturbSeed);
@@ -127,10 +124,11 @@ attachChecker(TargetMachine& t, const CheckConfig& cc)
 }
 
 /**
- * Attach a FlightRecorder to an assembled target. Rings are kept
- * whenever the recorder exists (that is the crash flight recorder,
- * wanted under --check even without --trace); the exporter, sampler,
- * sharing analyzer and transaction tracer are each opt-in via
+ * Attach a FlightRecorder to an assembled target whenever anything
+ * consumes it: a trace file, the sharing analyzer, the transaction
+ * tracer or the sanitizer (which the recorder feeds). Rings are kept
+ * whenever the recorder exists (that is the crash flight recorder);
+ * the exporter, sampler, analyzer and tracer are each opt-in via
  * ObsConfig.
  */
 void
@@ -140,8 +138,8 @@ attachObserver(TargetMachine& t, const MachineConfig& cfg)
     // watchdog trip or fault-induced panic comes with the crash-ring
     // tail (DESIGN.md §10).
     const ObsConfig& oc = cfg.obs;
-    if (!oc.enable && !oc.analyze && !oc.txn && !cfg.check.enable &&
-        !cfg.faults.any()) {
+    if (oc.traceFile.empty() && !oc.analyze && !oc.txn &&
+        !cfg.check.enable && !cfg.faults.any()) {
         return;
     }
     t.obs = std::make_unique<FlightRecorder>(cfg.core.nodes,
@@ -207,42 +205,39 @@ attachRobustness(TargetMachine& t, const MachineConfig& cfg)
             t.recovery->attachDirnnb(*t.dir);
         t.recovery->arm();
     }
-    if (cfg.watchdog.enable) {
-        ReliableTransport* tr = t.transport.get();
-        FlightRecorder* obs = t.obs.get();
-        RecoveryCoordinator* rec = t.recovery.get();
-        Counter& trips = stats.counter("obs.watchdog.trips");
-        t.watchdog = std::make_unique<Watchdog>(
-            t.machine->eq(), cfg.watchdog.horizon,
-            [ms, tr] {
-                Tick oldest = ms->oldestPendingSince();
-                if (tr)
-                    oldest =
-                        std::min(oldest, tr->oldestUnackedSince());
-                return oldest;
-            },
-            [obs, tr, rec, &trips](Tick oldest, Tick now) {
-                trips.inc();
-                std::cerr << "watchdog: operation open since tick "
-                          << oldest << ", now " << now << "\n";
-                if (tr) {
-                    // Name the stalled work: the oldest unacked
-                    // transport entries with their transaction ids,
-                    // so a hang report joins directly against the
-                    // --trace-critical transaction log.
-                    std::cerr << "watchdog: oldest unacked messages:\n";
-                    tr->describeOldest(std::cerr);
-                }
-                if (rec)
-                    rec->describeRecovery(std::cerr);
-                std::cerr << "watchdog: flight-recorder tail:\n";
-                if (obs)
-                    obs->dumpTail(std::cerr);
-            });
-        t.watchdog->arm();
-        if (t.recovery)
-            t.recovery->setWatchdog(t.watchdog.get());
-    }
+    ReliableTransport* tr = t.transport.get();
+    FlightRecorder* obs = t.obs.get();
+    RecoveryCoordinator* rec = t.recovery.get();
+    Counter& trips = stats.counter("obs.watchdog.trips");
+    t.watchdog = std::make_unique<Watchdog>(
+        t.machine->eq(), cfg.watchdog.horizon,
+        [ms, tr] {
+            Tick oldest = ms->oldestPendingSince();
+            if (tr)
+                oldest = std::min(oldest, tr->oldestUnackedSince());
+            return oldest;
+        },
+        [obs, tr, rec, &trips](Tick oldest, Tick now) {
+            trips.inc();
+            std::cerr << "watchdog: operation open since tick "
+                      << oldest << ", now " << now << "\n";
+            if (tr) {
+                // Name the stalled work: the oldest unacked transport
+                // entries with their transaction ids, so a hang report
+                // joins directly against the --trace-critical
+                // transaction log.
+                std::cerr << "watchdog: oldest unacked messages:\n";
+                tr->describeOldest(std::cerr);
+            }
+            if (rec)
+                rec->describeRecovery(std::cerr);
+            std::cerr << "watchdog: flight-recorder tail:\n";
+            if (obs)
+                obs->dumpTail(std::cerr);
+        });
+    t.watchdog->arm();
+    if (t.recovery)
+        t.recovery->setWatchdog(t.watchdog.get());
 }
 
 /**
@@ -363,8 +358,8 @@ assemble(const MachineConfig& cfg, Proto proto)
         }
         t.machine->setMemSystem(t.typhoon.get());
     }
-    attachChecker(t, cfg.check);
     attachObserver(t, cfg);
+    attachChecker(t, cfg.check);
     attachRobustness(t, cfg);
     attachCheckpoint(t, cfg);
     attachTelemetry(t, cfg);

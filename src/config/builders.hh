@@ -57,12 +57,11 @@ struct CheckConfig
 /**
  * Flight-recorder configuration (ttsim --trace / DESIGN.md §9).
  * A recorder is attached when tracing or analysis is requested, and
- * also whenever the sanitizer is on (so checker violations and panics
- * come with the crash-ring tail); everything else is opt-in.
+ * also whenever the sanitizer (which it feeds) or fault injection is
+ * on; everything else is opt-in.
  */
 struct ObsConfig
 {
-    bool enable = false;        ///< attach a FlightRecorder at all
     std::size_t ringCapacity = 256; ///< crash-ring records per node
     std::string traceFile;      ///< Perfetto JSON path ("" = no trace)
     Tick samplePeriod = 0;      ///< counter-snapshot period (0 = off)
@@ -78,15 +77,14 @@ struct ObsConfig
 
 /**
  * Progress-watchdog configuration (ttsim --horizon / DESIGN.md §10).
- * Armed only when fault injection is active (a lossless fabric cannot
- * stall an operation, and arming nothing keeps fault-off runs
+ * Armed exactly when fault injection is active (a lossless fabric
+ * cannot stall an operation, and arming nothing keeps fault-off runs
  * bit-identical). The horizon default comfortably exceeds the
  * transport's worst-case retry window (~45k ticks at the default
  * rto/rtoMax/maxRetries), so only a genuinely wedged run trips.
  */
 struct WatchdogConfig
 {
-    bool enable = true;
     Tick horizon = 100'000; ///< max age of an open operation (ticks)
 };
 
@@ -153,7 +151,7 @@ struct TargetMachine
     /** Set iff MachineConfig::check.enable was true at build time. */
     std::unique_ptr<ProtocolChecker> checker;
 
-    /** Set iff obs.enable, check.enable, or faults were on at build. */
+    /** Set iff tracing, analysis, check.enable or faults were on. */
     std::unique_ptr<FlightRecorder> obs;
 
     /** Set iff MachineConfig::faults.any() was true at build time. */
@@ -162,7 +160,7 @@ struct TargetMachine
     /** Set iff faults were on and reliable.enable was true. */
     std::unique_ptr<ReliableTransport> transport;
 
-    /** Set iff faults were on and watchdog.enable was true. */
+    /** Set iff faults were on at build time. */
     std::unique_ptr<Watchdog> watchdog;
 
     /** Set iff the fault spec scheduled crash-stop failures. */

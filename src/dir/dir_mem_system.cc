@@ -1,7 +1,6 @@
 #include "dir/dir_mem_system.hh"
 
 #include "core/cpu.hh"
-#include "core/tempest.hh"
 #include "mem/addr.hh"
 #include "sim/logging.hh"
 
@@ -124,15 +123,23 @@ DirMemSystem::resolveHome(Addr va, NodeId toucher)
 void
 DirMemSystem::peek(Addr va, void* buf, std::size_t len)
 {
-    _store.read(va, buf, len);
+    auto* out = static_cast<std::uint8_t*>(buf);
+    forEachBlockPiece(va, len, _cp.blockSize,
+                      [this, out](Addr a, std::size_t off, std::size_t n) {
+        _store.read(a, out + off, n);
+    });
 }
 
 void
 DirMemSystem::poke(Addr va, const void* buf, std::size_t len)
 {
-    _store.write(va, buf, len);
-    if (_checker)
-        _checker->onBackdoorWrite(va, buf, len);
+    const auto* in = static_cast<const std::uint8_t*>(buf);
+    forEachBlockPiece(va, len, _cp.blockSize,
+                      [this, in](Addr a, std::size_t off, std::size_t n) {
+        _store.write(a, in + off, n);
+    });
+    if (_obs)
+        _obs->backdoorWrite(va, buf, len);
 }
 
 void
@@ -175,31 +182,6 @@ DirMemSystem::inspect(Addr va) const
     v.owner = e->owner;
     v.busy = e->mshr != nullptr;
     return v;
-}
-
-void
-DirMemSystem::setChecker(CheckHooks* c)
-{
-    _checker = c;
-    // Mirror every cache line-state mutation into the checker's copy
-    // tables; the central CacheModel hook covers fills, victim
-    // evictions, invalidations, downgrades, upgrades and flushes, so
-    // the mirror cannot drift from reality via a missed call site.
-    for (NodeId n = 0; n < static_cast<NodeId>(_nodes.size()); ++n) {
-        if (!c) {
-            _nodes[n].cache->setStateListener(nullptr);
-            continue;
-        }
-        _nodes[n].cache->setStateListener(
-            [c, n](Addr blk, LineState st) {
-                AccessTag t = AccessTag::Invalid;
-                if (st == LineState::Shared)
-                    t = AccessTag::ReadOnly;
-                else if (st == LineState::Owned)
-                    t = AccessTag::ReadWrite;
-                c->onTagChange(n, blk, t);
-            });
-    }
 }
 
 DirMemSystem::EntryPeek
@@ -272,37 +254,31 @@ DirMemSystem::access(MemRequest* req)
         _cTlbMisses.inc();
     }
 
-    // Cache hit fast paths.
-    if (req->op == MemOp::Read) {
-        if (n.cache->probeRead(va)) {
-            _cCacheHits.inc();
-            transfer(req);
-            if (_checker)
-                _checker->onAccess(self, va, req->size, false,
-                                   req->buf);
-            if (_obs && _obs->wantSharing())
-                _obs->blockAccess(self, va, req->size, false,
-                                  req->issueTime + cost);
-            return {true, cost};
+    const bool isWrite = req->op == MemOp::Write;
+    const Addr blk = blockAlign(va, _cp.blockSize);
+    // Complete inline after @p extra more cycles; a local miss names
+    // its directory event @p what and ends a checker event.
+    auto complete = [&](const char* what, Tick extra) -> AccessOutcome {
+        transfer(req);
+        if (_obs) {
+            if (what)
+                _obs->blockEvent(self, blk, what);
+            _obs->access(self, va, req->size, isWrite, req->buf,
+                         req->issueTime + cost + extra);
+            if (what)
+                _obs->eventEnd();
         }
-    } else {
-        if (n.cache->probeWrite(va)) {
-            _cCacheHits.inc();
-            transfer(req);
-            if (_checker)
-                _checker->onAccess(self, va, req->size, true,
-                                   req->buf);
-            if (_obs && _obs->wantSharing())
-                _obs->blockAccess(self, va, req->size, true,
-                                  req->issueTime + cost);
-            return {true, cost};
-        }
+        return {true, cost + extra};
+    };
+
+    // Cache hit fast path.
+    if (isWrite ? n.cache->probeWrite(va) : n.cache->probeRead(va)) {
+        _cCacheHits.inc();
+        return complete(nullptr, 0);
     }
 
-    const Addr blk = blockAlign(va, _cp.blockSize);
     const NodeId home = resolveHome(va, self);
-    const bool upgrade =
-        req->op == MemOp::Write && n.cache->presentShared(va);
+    const bool upgrade = isWrite && n.cache->presentShared(va);
 
     if (home == self) {
         // Local miss: satisfiable inline unless the block conflicts
@@ -311,7 +287,7 @@ DirMemSystem::access(MemRequest* req)
         const bool busy = e && e->mshr;
         const DirState st = e ? e->state : DirState::Idle;
         if (!busy) {
-            if (req->op == MemOp::Read && st != DirState::Excl) {
+            if (!isWrite && st != DirState::Excl) {
                 const LineState fillState = st == DirState::Idle
                                                 ? LineState::Owned
                                                 : LineState::Shared;
@@ -319,59 +295,23 @@ DirMemSystem::access(MemRequest* req)
                 handleVictim(self, fres,
                              req->issueTime + cost +
                                  _cp.localMissLatency);
-                transfer(req);
                 _cLocalMisses.inc();
-                if (_checker) {
-                    _checker->onBlockEvent(self, blk, "local-fill");
-                    _checker->onAccess(self, va, req->size, false,
-                                       req->buf);
-                    _checker->onEventEnd();
-                }
-                if (_obs && _obs->wantSharing()) {
-                    _obs->blockAccess(self, va, req->size, false,
-                                      req->issueTime + cost +
-                                          _cp.localMissLatency);
-                }
-                return {true, cost + _cp.localMissLatency};
+                return complete("local-fill", _cp.localMissLatency);
             }
-            if (req->op == MemOp::Write && st == DirState::Idle) {
+            if (isWrite && st == DirState::Idle) {
                 if (upgrade) {
                     // Stale Shared line with no remote copies left.
                     n.cache->upgrade(va, true);
-                    transfer(req);
                     _cLocalUpgrades.inc();
-                    if (_checker) {
-                        _checker->onBlockEvent(self, blk,
-                                               "local-upgrade");
-                        _checker->onAccess(self, va, req->size, true,
-                                           req->buf);
-                        _checker->onEventEnd();
-                    }
-                    if (_obs && _obs->wantSharing()) {
-                        _obs->blockAccess(self, va, req->size, true,
-                                          req->issueTime + cost);
-                    }
-                    return {true, cost};
+                    return complete("local-upgrade", 0);
                 }
                 CacheResult fres = n.cache->fill(va, LineState::Owned);
                 n.cache->probeWrite(va); // mark dirty
                 handleVictim(self, fres,
                              req->issueTime + cost +
                                  _cp.localMissLatency);
-                transfer(req);
                 _cLocalMisses.inc();
-                if (_checker) {
-                    _checker->onBlockEvent(self, blk, "local-fill");
-                    _checker->onAccess(self, va, req->size, true,
-                                       req->buf);
-                    _checker->onEventEnd();
-                }
-                if (_obs && _obs->wantSharing()) {
-                    _obs->blockAccess(self, va, req->size, true,
-                                      req->issueTime + cost +
-                                          _cp.localMissLatency);
-                }
-                return {true, cost + _cp.localMissLatency};
+                return complete("local-fill", _cp.localMissLatency);
             }
         }
         // Local access with remote conflict: enter the home state
@@ -381,12 +321,11 @@ DirMemSystem::access(MemRequest* req)
         n.pending.insert(blk, PendingMiss{req, upgrade});
         _cLocalConflictMisses.inc();
         if (_obs)
-            _obs->missStart(self, blk, req->op == MemOp::Write,
-                            req->issueTime + cost);
+            _obs->missStart(self, blk, isWrite, req->issueTime + cost);
         homeRequest(self, blk, self, req->op, upgrade,
                     req->issueTime + cost);
-        if (_checker)
-            _checker->onEventEnd();
+        if (_obs)
+            _obs->eventEnd();
         return {false, 0};
     }
 
@@ -396,11 +335,9 @@ DirMemSystem::access(MemRequest* req)
     n.pending.insert(blk, PendingMiss{req, upgrade});
     _cRemoteMisses.inc();
     if (_obs)
-        _obs->missStart(self, blk, req->op == MemOp::Write,
-                        req->issueTime + cost);
-    const MsgKind kind = req->op == MemOp::Read
-                             ? kReadReq
-                             : (upgrade ? kUpgradeReq : kWriteReq);
+        _obs->missStart(self, blk, isWrite, req->issueTime + cost);
+    const MsgKind kind =
+        !isWrite ? kReadReq : (upgrade ? kUpgradeReq : kWriteReq);
     sendMsg(self, home, VNet::Request, kind, blk,
             req->issueTime + cost + _p.remoteMissIssue);
     return {false, 0};
@@ -479,8 +416,6 @@ DirMemSystem::onMessage(NodeId self, Message&& msg)
     const Tick now = _m.eq().now();
     Node& n = _nodes[self];
 
-    if (_checker)
-        _checker->onMsgDeliver(msg);
     if (_obs) {
         _obs->msgDeliver(self, msg, now);
         // Handler-activation transaction context: messages sent while
@@ -630,9 +565,8 @@ DirMemSystem::onMessage(NodeId self, Message&& msg)
                           now,
                           n.ctrlFree > now ? n.ctrlFree - now : 0);
         _obs->endAct(self);
+        _obs->eventEnd();
     }
-    if (_checker)
-        _checker->onEventEnd();
 }
 
 // --------------------------------------------------------------------
@@ -674,8 +608,8 @@ DirMemSystem::homeProcess(NodeId home, Addr blk, NodeId requester,
     // racing with the request and needs the full block.
     mshr->upgrade = upgrade && e.sharers.contains(requester);
     e.mshr = std::move(mshr);
-    if (_checker)
-        _checker->onBlockEvent(home, blk, "dir:open");
+    if (_obs)
+        _obs->blockEvent(home, blk, "dir:open");
 
     if (op == MemOp::Read) {
         if (e.state != DirState::Excl) {
@@ -789,8 +723,8 @@ DirMemSystem::grant(NodeId home, Addr blk, Tick when)
         }
     }
 
-    if (_checker)
-        _checker->onBlockEvent(home, blk, "dir:grant");
+    if (_obs)
+        _obs->blockEvent(home, blk, "dir:grant");
     if (_obs && _obs->wantSharing() && e.state != oldState) {
         _obs->dirTrans(home, blk, static_cast<std::uint8_t>(oldState),
                        static_cast<std::uint8_t>(e.state), when);
@@ -816,10 +750,10 @@ DirMemSystem::grant(NodeId home, Addr blk, Tick when)
                                  _obs->beginAct(home, d.txn);
                              homeRequest(home, blk, d.requester, d.op,
                                          d.upgrade, _m.eq().now());
-                             if (_obs)
+                             if (_obs) {
                                  _obs->endAct(home);
-                             if (_checker)
-                                 _checker->onEventEnd();
+                                 _obs->eventEnd();
+                             }
                          });
     }
 }
@@ -846,8 +780,8 @@ DirMemSystem::applyWriteback(NodeId home, Addr blk, NodeId from,
               "stale writeback for block ", blk, " from ", from);
     e.state = DirState::Idle;
     e.owner = kNoNode;
-    if (_checker)
-        _checker->onBlockEvent(home, blk, "dir:writeback");
+    if (_obs)
+        _obs->blockEvent(home, blk, "dir:writeback");
     if (_obs && _obs->wantSharing()) {
         _obs->dirTrans(home, blk,
                        static_cast<std::uint8_t>(DirState::Excl),
@@ -901,10 +835,10 @@ DirMemSystem::completeAtRequester(NodeId node, Addr blk, bool withData,
     }
     _m.eq().schedule(std::max(done, _m.eq().now()), [this, req] {
         transfer(req);
-        if (_checker) {
-            _checker->onAccess(req->cpu->id(), req->vaddr, req->size,
-                               req->op == MemOp::Write, req->buf);
-            _checker->onEventEnd();
+        if (_obs) {
+            _obs->accessData(req->cpu->id(), req->vaddr, req->size,
+                             req->op == MemOp::Write, req->buf);
+            _obs->eventEnd();
         }
         req->cpu->completeAccess(*req);
     });
@@ -949,10 +883,10 @@ DirMemSystem::completeLocal(NodeId node, Addr blk, Tick when)
     }
     _m.eq().schedule(std::max(done, _m.eq().now()), [this, req] {
         transfer(req);
-        if (_checker) {
-            _checker->onAccess(req->cpu->id(), req->vaddr, req->size,
-                               req->op == MemOp::Write, req->buf);
-            _checker->onEventEnd();
+        if (_obs) {
+            _obs->accessData(req->cpu->id(), req->vaddr, req->size,
+                             req->op == MemOp::Write, req->buf);
+            _obs->eventEnd();
         }
         req->cpu->completeAccess(*req);
     });

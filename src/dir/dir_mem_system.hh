@@ -104,13 +104,6 @@ class DirMemSystem : public MemorySystem
     bool quiescent() const override;
 
     /**
-     * Attach the coherence sanitizer (nullptr = disabled). Also
-     * installs a state listener on every node cache so the checker's
-     * copy mirror tracks line states exactly (DESIGN.md §13).
-     */
-    void setChecker(CheckHooks* c);
-
-    /**
      * Resident bytes of the protocol state (telemetry memory probe):
      * directory entries (+ live MSHRs), page-home map, global store,
      * and per-node cache/TLB models and pending-miss maps.
@@ -228,7 +221,6 @@ class DirMemSystem : public MemorySystem
     DirParams _p;
     const CoreParams& _cp;
     StatSet& _stats;
-    CheckHooks* _checker = nullptr; ///< coherence sanitizer, opt-in
     FlightRecorder* _obs = nullptr; ///< flight recorder, opt-in
 
     std::vector<Node> _nodes;

@@ -11,7 +11,9 @@
 #ifndef TT_MEM_ADDR_HH
 #define TT_MEM_ADDR_HH
 
+#include <algorithm>
 #include <bit>
+#include <cstddef>
 
 #include "sim/logging.hh"
 #include "sim/types.hh"
@@ -94,6 +96,43 @@ withinOneBlock(Addr a, std::uint32_t len, std::uint32_t block_size)
 {
     return blockAlign(a, block_size) ==
            blockAlign(a + len - 1, block_size);
+}
+
+namespace detail
+{
+
+/** forEachBlockPiece's loop, out of line (see there). */
+template <typename Fn>
+[[gnu::noinline]] void
+splitBlockPieces(Addr va, std::size_t len, std::uint32_t block_size, Fn& fn)
+{
+    for (std::size_t off = 0; off < len;) {
+        const Addr a = va + off;
+        const std::size_t n = std::min<std::size_t>(
+            len - off, blockAlign(a, block_size) + block_size - a);
+        fn(a, off, n);
+        off += n;
+    }
+}
+
+} // namespace detail
+
+/**
+ * Call @p fn(a, off, n) for each block-bounded piece of [va, va+len),
+ * in order: n bytes at address a, off bytes into the range. A range
+ * inside one block (every application poke) is one inline call; only a
+ * wider one (a checkpoint's whole allocation) takes the loop, kept out
+ * of line so that app set-up does not pay for it.
+ */
+template <typename Fn>
+void
+forEachBlockPiece(Addr va, std::size_t len, std::uint32_t block_size,
+                  Fn&& fn)
+{
+    if (blockAlign(va, block_size) == blockAlign(va + len - 1, block_size))
+        fn(va, std::size_t{0}, len);
+    else
+        detail::splitBlockPieces(va, len, block_size, fn);
 }
 
 } // namespace tt

@@ -13,7 +13,6 @@
 #include <functional>
 #include <vector>
 
-#include "check/hooks.hh"
 #include "net/fault_model.hh"
 #include "net/message.hh"
 #include "net/transport_hooks.hh"
@@ -83,9 +82,6 @@ class Network
 
     int nodes() const { return static_cast<int>(_receivers.size()); }
     const NetworkParams& params() const { return _params; }
-
-    /** Attach the coherence sanitizer (nullptr = disabled). */
-    void setChecker(CheckHooks* c) { _checker = c; }
 
     /** Attach the flight recorder (nullptr = disabled). */
     void setRecorder(FlightRecorder* r) { _obs = r; }
@@ -317,23 +313,9 @@ class Network
         // with a transport attached it logically stays in flight in
         // the retransmission buffer; without one, a loss is a real
         // conservation violation and must be reported) and at the one
-        // accepted delivery (the handler-dispatch onMsgDeliver).
-        if (_checker && !fromTransport)
-            _checker->onMsgSend(msg);
-        if (_obs) {
-            // Flag transport re-injections of Data messages (= go-
-            // back-N retransmissions; acks are fresh sends) and lost
-            // physical copies so the TxnTracer can attribute loss-
-            // repair latency (DESIGN.md §14).
-            const std::uint8_t flags =
-                static_cast<std::uint8_t>(
-                    (fromTransport && msg.tkind == TKind::Data
-                         ? kRecRetransmit
-                         : 0) |
-                    (dropped ? kRecDropped : 0));
-            _obs->msgSend(msg, depart, dropped ? depart : arrive,
-                          flags);
-        }
+        // accepted delivery (the handler-dispatch msgDeliver).
+        if (_obs)
+            _obs->msgSend(msg, depart, arrive, fromTransport, dropped);
 
         if (dupArrive)
             scheduleDelivery(dupArrive, Message(msg));
@@ -398,7 +380,6 @@ class Network
     std::vector<Receiver> _receivers;
     std::vector<Tick> _linkFree;
     std::vector<Tick> _ejectFree;
-    CheckHooks* _checker = nullptr; ///< coherence sanitizer, opt-in
     FlightRecorder* _obs = nullptr; ///< flight recorder, opt-in
     FaultModel* _faults = nullptr;  ///< unreliable fabric, opt-in
     TransportHooks* _transport = nullptr; ///< reliable delivery, opt-in

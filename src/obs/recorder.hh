@@ -1,15 +1,17 @@
 /**
  * @file
  * FlightRecorder — the opt-in, zero-cost-when-off record stream of
- * NP and miss activity (DESIGN.md §9).
+ * NP and miss activity (DESIGN.md §9), and the one observation seam
+ * every producer notifies.
  *
- * Every instrumented subsystem (Network, TyphoonMemSystem,
- * DirMemSystem) holds a `FlightRecorder* _obs = nullptr` and guards
- * each notification with `if (_obs)` — the same null-pointer pattern
- * as the coherence sanitizer's CheckHooks (src/check/hooks.hh), so a
- * detached recorder costs one never-taken branch per hook site and
- * the trace-off hot path stays bit-identical (bench_simcore holds the
- * regression; see BENCH_simcore.json "trace_overhead").
+ * Every instrumented subsystem (Network, TyphoonMemSystem and the
+ * protocols that reach it through recorder(), DirMemSystem) holds a
+ * `FlightRecorder* _obs = nullptr` and guards each notification with
+ * `if (_obs)`, so a detached recorder costs one never-taken branch per
+ * hook site and the trace-off hot path stays bit-identical
+ * (bench_simcore holds the regression; see BENCH_simcore.json
+ * "trace_overhead"). No producer knows the coherence sanitizer: the
+ * recorder forwards to it (setChecker).
  *
  * An attached recorder appends each record to a per-node
  * fixed-capacity ring (the crash flight recorder: the tail is dumped
@@ -31,6 +33,7 @@
 #include <string>
 #include <vector>
 
+#include "check/hooks.hh"
 #include "net/message.hh"
 #include "obs/record.hh"
 #include "sim/logging.hh"
@@ -109,6 +112,12 @@ class FlightRecorder
     void installCrashDump();
 
     /**
+     * Feed the coherence sanitizer (DESIGN.md §8; nullptr = none):
+     * each hook method it needs forwards to @p c before recording.
+     */
+    void setChecker(CheckHooks* c) { _checker = c; }
+
+    /**
      * Associate a human-readable name with an active-message handler
      * id (shown in Perfetto slices and ring dumps). @p name must be a
      * string literal or otherwise outlive the recorder.
@@ -118,23 +127,33 @@ class FlightRecorder
 
     // --- hot-path record methods (inline; callers hold `if (_obs)`) ---
 
-    /** Stamp a fresh causal id onto @p m and record its departure. */
+    /**
+     * Stamp a fresh causal id onto @p m and record its departure. The
+     * record flags transport re-injections of Data (retransmissions)
+     * and @p dropped copies for the TxnTracer (DESIGN.md §14); the
+     * checker sees original sends only, never @p fromTransport ones.
+     */
     void
     msgSend(Message& m, Tick depart, Tick arrive,
-            std::uint8_t flags = 0)
+            bool fromTransport = false, bool dropped = false)
     {
+        if (_checker && !fromTransport)
+            _checker->onMsgSend(m);
         m.obsId = ++_lastMsgId;
         TraceRecord r;
         r.kind = RecKind::MsgSend;
         r.tick = depart;
-        r.t2 = arrive;
+        r.t2 = dropped ? depart : arrive;
         r.addr = m.handler;
         r.id = m.obsId;
         r.arg = static_cast<std::uint32_t>(m.dst);
         r.txn = m.txn;
         r.node = m.src;
         r.sub = static_cast<std::uint8_t>(m.vnet);
-        r.flags = flags;
+        r.flags = static_cast<std::uint8_t>(
+            (fromTransport && m.tkind == TKind::Data ? kRecRetransmit
+                                                     : 0) |
+            (dropped ? kRecDropped : 0));
         record(r);
     }
 
@@ -142,6 +161,8 @@ class FlightRecorder
     void
     msgDeliver(NodeId node, const Message& m, Tick when)
     {
+        if (_checker)
+            _checker->onMsgDeliver(m);
         TraceRecord r;
         r.kind = RecKind::MsgDeliver;
         r.tick = when;
@@ -227,21 +248,26 @@ class FlightRecorder
         record(r);
     }
 
+    /** Block @p blk's access tag at @p node became @p tag. */
     void
-    tagChange(NodeId node, Addr blk, std::uint8_t tag, Tick when)
+    tagChange(NodeId node, Addr blk, AccessTag tag, Tick when)
     {
+        if (_checker)
+            _checker->onTagChange(node, blk, tag);
         TraceRecord r;
         r.kind = RecKind::TagChange;
         r.tick = when;
         r.addr = blk;
         r.node = node;
-        r.sub = tag;
+        r.sub = static_cast<std::uint8_t>(tag);
         record(r);
     }
 
     void
     pageMap(NodeId node, Addr pageVa, std::uint8_t mode, Tick when)
     {
+        if (_checker)
+            _checker->onPageMap(node, pageVa, mode);
         TraceRecord r;
         r.kind = RecKind::PageMap;
         r.tick = when;
@@ -254,6 +280,8 @@ class FlightRecorder
     void
     pageUnmap(NodeId node, Addr pageVa, Tick when)
     {
+        if (_checker)
+            _checker->onPageUnmap(node, pageVa);
         TraceRecord r;
         r.kind = RecKind::PageUnmap;
         r.tick = when;
@@ -274,11 +302,64 @@ class FlightRecorder
         record(r);
     }
 
+    /**
+     * A CPU access completed at @p node (full va, not aligned) with its
+     * data in @p bytes: forwarded, and recorded for the analyzer.
+     */
+    void
+    access(NodeId node, Addr va, std::uint32_t size, bool isWrite,
+           const void* bytes, Tick when)
+    {
+        accessData(node, va, size, isWrite, bytes);
+        if (wantSharing())
+            blockAccess(node, va, size, isWrite, when);
+    }
+
+    // Checker-only notifications (src/check/hooks.hh): forwarded, with
+    // no record written, so rings, trace and reports never show them.
+
+    /** access() minus the record, which DirNNB writes an event early. */
+    void
+    accessData(NodeId node, Addr va, std::uint32_t size, bool isWrite,
+               const void* bytes)
+    {
+        if (_checker)
+            _checker->onAccess(node, va, size, isWrite, bytes);
+    }
+
+    void
+    pageTags(NodeId node, Addr pageVa, AccessTag tag)
+    {
+        if (_checker)
+            _checker->onPageTags(node, pageVa, tag);
+    }
+
+    void
+    backdoorWrite(Addr va, const void* bytes, std::size_t len)
+    {
+        if (_checker)
+            _checker->onBackdoorWrite(va, bytes, len);
+    }
+
+    void
+    blockEvent(NodeId node, Addr blk, const char* what)
+    {
+        if (_checker)
+            _checker->onBlockEvent(node, blk, what);
+    }
+
+    void
+    eventEnd()
+    {
+        if (_checker)
+            _checker->onEventEnd();
+    }
+
     // Sharing-analysis records (DESIGN.md §11). Callers must hold
     // `if (_obs && _obs->wantSharing())` so analyze-off runs keep a
     // byte-identical record stream.
 
-    /** A CPU access completed at @p node (full va, not aligned). */
+    /** The record half of access() (see accessData()). */
     void
     blockAccess(NodeId node, Addr va, std::uint32_t size, bool isWrite,
                 Tick when)
@@ -489,6 +570,7 @@ class FlightRecorder
     }
 
     std::vector<Ring> _rings;
+    CheckHooks* _checker = nullptr; ///< coherence sanitizer, opt-in
     std::uint32_t _lastMsgId = 0;
     bool _haveConsumers = false;
     bool _finalized = false;

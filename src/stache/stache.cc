@@ -2,7 +2,6 @@
 
 #include <cstring>
 
-#include "check/hooks.hh"
 #include "mem/addr.hh"
 #include "obs/recorder.hh"
 #include "sim/logging.hh"
@@ -249,53 +248,56 @@ Stache::readBlockHost(NodeId node, Addr blk, void* buf)
 void
 Stache::peek(Addr va, void* buf, std::size_t len)
 {
-    // Authoritative copy: the exclusive owner's stache page if the
-    // block is dirty-remote, otherwise the home page.
-    const NodeId home = homeOf(va);
-    tt_assert(home != kNoNode, "peek of unallocated va ", va);
-    const Addr blk = blockAlign(va, _cp.blockSize);
-    NodeId src = home;
-    const HomeDir* hd = findHomeDir(va);
-    if (hd) {
-        const StacheDirEntry& e =
-            hd->entries[blockInPage(va, _cp.pageSize, _cp.blockSize)];
-        if (e.state() == StacheDirEntry::State::Excl)
-            src = e.owner();
-    }
-    (void)blk;
-    const PAddr pa = _ms.pageTableOf(src).translate(va);
-    _ms.physOf(src).read(pa, buf, len);
+    // Authoritative copy, block by block: the exclusive owner's stache
+    // page if the block is dirty-remote, otherwise the home page.
+    auto* out = static_cast<std::uint8_t*>(buf);
+    forEachBlockPiece(va, len, _cp.blockSize,
+                      [this, out](Addr a, std::size_t off, std::size_t n) {
+        const NodeId home = homeOf(a);
+        tt_assert(home != kNoNode, "peek of unallocated va ", a);
+        NodeId src = home;
+        if (const HomeDir* hd = findHomeDir(a)) {
+            const StacheDirEntry& e =
+                hd->entries[blockInPage(a, _cp.pageSize, _cp.blockSize)];
+            if (e.state() == StacheDirEntry::State::Excl)
+                src = e.owner();
+        }
+        _ms.physOf(src).read(_ms.pageTableOf(src).translate(a),
+                             out + off, n);
+    });
 }
 
 void
 Stache::poke(Addr va, const void* buf, std::size_t len)
 {
-    // Write the home copy plus any live replicas so setup-time
-    // initialization is coherent everywhere.
-    const NodeId home = homeOf(va);
-    tt_assert(home != kNoNode, "poke of unallocated va ", va);
-    _ms.physOf(home).write(_ms.pageTableOf(home).translate(va), buf,
-                           len);
-    const HomeDir* hd = findHomeDir(va);
-    if (!hd)
-        return;
-    const StacheDirEntry& e =
-        hd->entries[blockInPage(va, _cp.pageSize, _cp.blockSize)];
-    std::vector<NodeId> copies;
-    if (e.state() == StacheDirEntry::State::Excl)
-        copies.push_back(e.owner());
-    else if (e.state() == StacheDirEntry::State::Shared)
-        copies = e.members(hd->aux);
-    for (NodeId n : copies) {
-        if (n == home)
-            continue;
-        const PageMapping* pm = _ms.pageTableOf(n).lookup(va);
-        if (pm) {
-            _ms.physOf(n).write(pm->ppage +
-                                    pageOffset(va, _cp.pageSize),
-                                buf, len);
+    // Block by block, write the home copy plus any live replicas so
+    // setup-time initialization is coherent everywhere.
+    const auto* in = static_cast<const std::uint8_t*>(buf);
+    forEachBlockPiece(va, len, _cp.blockSize,
+                      [this, in](Addr a, std::size_t off, std::size_t n) {
+        const NodeId home = homeOf(a);
+        tt_assert(home != kNoNode, "poke of unallocated va ", a);
+        _ms.physOf(home).write(_ms.pageTableOf(home).translate(a),
+                               in + off, n);
+        const HomeDir* hd = findHomeDir(a);
+        if (!hd)
+            return;
+        const StacheDirEntry& e =
+            hd->entries[blockInPage(a, _cp.pageSize, _cp.blockSize)];
+        std::vector<NodeId> copies;
+        if (e.state() == StacheDirEntry::State::Excl)
+            copies.push_back(e.owner());
+        else if (e.state() == StacheDirEntry::State::Shared)
+            copies = e.members(hd->aux);
+        for (NodeId c : copies) {
+            if (c == home)
+                continue;
+            if (const PageMapping* pm = _ms.pageTableOf(c).lookup(a)) {
+                _ms.physOf(c).write(
+                    pm->ppage + pageOffset(a, _cp.pageSize), in + off, n);
+            }
         }
-    }
+    });
 }
 
 // ---------------------------------------------------------------------
@@ -580,9 +582,8 @@ Stache::homeRequest(TempestCtx& ctx, Addr blk, NodeId requester,
         t.dataless = dataless;
         t.acksLeft = static_cast<int>(targets.size());
         _transients.insert(blk, std::move(t));
-        if (_checker)
-            _checker->onBlockEvent(ctx.nodeId(), blk,
-                                   "dir:inval-round");
+        if (FlightRecorder* obs = _ms.recorder())
+            obs->blockEvent(ctx.nodeId(), blk, "dir:inval-round");
         Word args[2] = {static_cast<Word>(blk),
                         static_cast<Word>(blk >> 32)};
         _cInvalsSent.inc(targets.size());
@@ -609,8 +610,8 @@ Stache::homeRequest(TempestCtx& ctx, Addr blk, NodeId requester,
         t.owner = owner;
         t.wasDowngrade = !wantRW;
         _transients.insert(blk, std::move(t));
-        if (_checker)
-            _checker->onBlockEvent(ctx.nodeId(), blk, "dir:recall");
+        if (FlightRecorder* obs = _ms.recorder())
+            obs->blockEvent(ctx.nodeId(), blk, "dir:recall");
         Word args[2] = {static_cast<Word>(blk),
                         static_cast<Word>(blk >> 32)};
         _cRecalls.inc();
@@ -661,8 +662,8 @@ Stache::grantFromHome(TempestCtx& ctx, Addr blk, NodeId requester,
         }
     };
 
-    if (_checker)
-        _checker->onBlockEvent(home, blk, "dir:grant");
+    if (FlightRecorder* obs = _ms.recorder())
+        obs->blockEvent(home, blk, "dir:grant");
 
     if (wantRW) {
         if (requester == home) {
@@ -1015,8 +1016,8 @@ Stache::onWriteback(TempestCtx& ctx, const Message& msg)
     const Addr blk = static_cast<Addr>(msg.addrArg(0));
     ctx.charge(2);
     _cWritebacksReceived.inc();
-    if (_checker)
-        _checker->onBlockEvent(ctx.nodeId(), blk, "dir:writeback");
+    if (FlightRecorder* obs = _ms.recorder())
+        obs->blockEvent(ctx.nodeId(), blk, "dir:writeback");
     ctx.forceWrite(blk, msg.data.data(),
                    static_cast<std::uint32_t>(msg.data.size()));
     HomeDir& hd = homeDirOf(blk);

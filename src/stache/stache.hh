@@ -106,9 +106,6 @@ class Stache : public ShmProtocol
     /** No transient protocol state anywhere. */
     bool quiescent() const { return _transients.empty(); }
 
-    /** Attach the coherence sanitizer (nullptr = disabled). */
-    void setChecker(CheckHooks* c) { _checker = c; }
-
     /**
      * Whole-protocol coherence audit (host-side, zero simulated
      * cost; call only at quiescence). Checks, for every allocated
@@ -243,7 +240,6 @@ class Stache : public ShmProtocol
     Machine& _m;
     TyphoonMemSystem& _ms;
     StacheParams _p;
-    CheckHooks* _checker = nullptr; ///< coherence sanitizer, opt-in
     const CoreParams& _cp;
     StatSet& _stats;
 

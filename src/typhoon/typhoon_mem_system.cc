@@ -1,6 +1,5 @@
 #include "typhoon/typhoon_mem_system.hh"
 
-#include "check/hooks.hh"
 #include "core/cpu.hh"
 #include "mem/addr.hh"
 #include "sim/logging.hh"
@@ -288,8 +287,8 @@ TyphoonMemSystem::poke(Addr va, const void* buf, std::size_t len)
 {
     tt_assert(_protocol, "no protocol installed on Typhoon");
     _protocol->poke(va, buf, len);
-    if (_checker)
-        _checker->onBackdoorWrite(va, buf, len);
+    if (_obs)
+        _obs->backdoorWrite(va, buf, len);
 }
 
 // ---------------------------------------------------------------------
@@ -484,13 +483,10 @@ TyphoonMemSystem::access(MemRequest* req)
     PipeResult pr = pipeline(id, req);
     switch (pr.kind) {
       case PipeResult::Kind::Done:
-        if (_checker)
-            _checker->onAccess(id, req->vaddr, req->size,
-                               req->op == MemOp::Write, req->buf);
-        if (_obs && _obs->wantSharing())
-            _obs->blockAccess(id, req->vaddr, req->size,
-                              req->op == MemOp::Write,
-                              req->issueTime + pr.cost);
+        if (_obs)
+            _obs->access(id, req->vaddr, req->size,
+                         req->op == MemOp::Write, req->buf,
+                         req->issueTime + pr.cost);
         return {true, pr.cost};
       case PipeResult::Kind::PageFault:
         tt_assert(!n.suspended, "second fault while suspended at ", id);
@@ -520,11 +516,11 @@ TyphoonMemSystem::deliverPageFault(NodeId id, MemRequest* req,
         const Tick start2 = _m.eq().now();
         NpCtx ctx(*this, id, start2);
         n.pageFaultHandler(ctx, req->vaddr, req->op);
-        if (_obs)
+        if (_obs) {
             _obs->handlerDone(id, ActKind::Page, 0, 0, start2,
                               ctx.charged());
-        if (_checker)
-            _checker->onEventEnd();
+            _obs->eventEnd();
+        }
         // The handler ran on the CPU; retry the access afterwards.
         retryAccess(id, start2 + ctx.charged());
     });
@@ -558,16 +554,12 @@ TyphoonMemSystem::retryAccess(NodeId id, Tick when)
         switch (pr.kind) {
           case PipeResult::Kind::Done: {
             n.suspended = nullptr;
-            if (_checker)
-                _checker->onAccess(id, req->vaddr, req->size,
-                                   req->op == MemOp::Write, req->buf);
             if (_obs) {
                 _obs->missEnd(id, req->vaddr,
                               req->op == MemOp::Write, now + pr.cost);
-                if (_obs->wantSharing())
-                    _obs->blockAccess(id, req->vaddr, req->size,
-                                      req->op == MemOp::Write,
-                                      now + pr.cost);
+                _obs->access(id, req->vaddr, req->size,
+                             req->op == MemOp::Write, req->buf,
+                             now + pr.cost);
             }
             _m.eq().schedule(now + pr.cost, [req] {
                 req->cpu->completeAccess(*req);
@@ -664,8 +656,6 @@ TyphoonMemSystem::npPump(NodeId id, Tick when)
         tt_assert(handler, "no handler registered for message id ",
                   msg.handler, " at node ", id);
         _cNpMsgHandled.inc();
-        if (_checker)
-            _checker->onMsgDeliver(msg);
         if (_obs) {
             _obs->msgDeliver(id, msg, when);
             // Handler-activation transaction context: messages this
@@ -694,8 +684,8 @@ TyphoonMemSystem::npPump(NodeId id, Tick when)
                               when, ctx.charged());
     }
 
-    if (_checker)
-        _checker->onEventEnd();
+    if (_obs)
+        _obs->eventEnd();
     _cNpInstructions.inc(ctx.charged());
     const Tick end = when + ctx.charged();
     n.npBusy = true;
@@ -834,15 +824,9 @@ NpCtx::setRW(Addr va)
 {
     tagTiming(va);
     _ms.setBlockTag(_node, translate(va), AccessTag::ReadWrite);
-    if (_ms._checker)
-        _ms._checker->onTagChange(_node,
-                                  blockAlign(va, _ms._cp.blockSize),
-                                  AccessTag::ReadWrite);
     if (_ms._obs)
-        _ms._obs->tagChange(
-            _node, blockAlign(va, _ms._cp.blockSize),
-            static_cast<std::uint8_t>(AccessTag::ReadWrite),
-            _start + _t);
+        _ms._obs->tagChange(_node, blockAlign(va, _ms._cp.blockSize),
+                            AccessTag::ReadWrite, _start + _t);
 }
 
 void
@@ -853,15 +837,9 @@ NpCtx::setRO(Addr va)
     // Any exclusively-held CPU copy loses ownership (bus shared line).
     if (_ms._nodes[_node].cpuCache->downgrade(va))
         charge(static_cast<std::uint32_t>(_ms._p.cpuCacheInvCost));
-    if (_ms._checker)
-        _ms._checker->onTagChange(_node,
-                                  blockAlign(va, _ms._cp.blockSize),
-                                  AccessTag::ReadOnly);
     if (_ms._obs)
-        _ms._obs->tagChange(
-            _node, blockAlign(va, _ms._cp.blockSize),
-            static_cast<std::uint8_t>(AccessTag::ReadOnly),
-            _start + _t);
+        _ms._obs->tagChange(_node, blockAlign(va, _ms._cp.blockSize),
+                            AccessTag::ReadOnly, _start + _t);
 }
 
 void
@@ -871,14 +849,9 @@ NpCtx::setBusy(Addr va)
     _ms.setBlockTag(_node, translate(va), AccessTag::Busy);
     if (_ms._nodes[_node].cpuCache->invalidate(va) != LineState::Invalid)
         charge(static_cast<std::uint32_t>(_ms._p.cpuCacheInvCost));
-    if (_ms._checker)
-        _ms._checker->onTagChange(_node,
-                                  blockAlign(va, _ms._cp.blockSize),
-                                  AccessTag::Busy);
     if (_ms._obs)
         _ms._obs->tagChange(_node, blockAlign(va, _ms._cp.blockSize),
-                            static_cast<std::uint8_t>(AccessTag::Busy),
-                            _start + _t);
+                            AccessTag::Busy, _start + _t);
 }
 
 void
@@ -890,14 +863,9 @@ NpCtx::invalidate(Addr va)
     if (_ms._nodes[_node].cpuCache->invalidate(va) != LineState::Invalid)
         charge(static_cast<std::uint32_t>(_ms._p.cpuCacheInvCost));
     _ms._cNpTagInvalidates.inc();
-    if (_ms._checker)
-        _ms._checker->onTagChange(_node,
-                                  blockAlign(va, _ms._cp.blockSize),
-                                  AccessTag::Invalid);
     if (_ms._obs)
-        _ms._obs->tagChange(
-            _node, blockAlign(va, _ms._cp.blockSize),
-            static_cast<std::uint8_t>(AccessTag::Invalid), _start + _t);
+        _ms._obs->tagChange(_node, blockAlign(va, _ms._cp.blockSize),
+                            AccessTag::Invalid, _start + _t);
 }
 
 void
@@ -1017,9 +985,6 @@ NpCtx::mapPage(Addr va, PAddr pa, std::uint8_t mode)
     charge(static_cast<std::uint32_t>(_ms._p.mapOpCost));
     _ms._nodes[_node].pt->map(va, pa, mode);
     _ms.backPage(_node, pageNum(pa, _ms._cp.pageSize));
-    if (_ms._checker)
-        _ms._checker->onPageMap(_node,
-                                alignDown(va, _ms._cp.pageSize), mode);
     if (_ms._obs)
         _ms._obs->pageMap(_node, alignDown(va, _ms._cp.pageSize), mode,
                           _start + _t);
@@ -1043,8 +1008,6 @@ NpCtx::unmapPage(Addr va)
     n.rtlb->invalidate(ppn);
     _ms.unbackPage(_node, ppn);
     n.pt->unmap(va);
-    if (_ms._checker)
-        _ms._checker->onPageUnmap(_node, page);
     if (_ms._obs)
         _ms._obs->pageUnmap(_node, page, _start + _t);
 }
@@ -1145,9 +1108,8 @@ NpCtx::setPageTags(Addr va, AccessTag t)
     const PageMapping* pm = _ms._nodes[_node].pt->lookup(va);
     tt_assert(pm, "setPageTags of unmapped va ", va);
     _ms.setPageTagsOf(_node, pageNum(pm->ppage, _ms._cp.pageSize), t);
-    if (_ms._checker)
-        _ms._checker->onPageTags(_node,
-                                 alignDown(va, _ms._cp.pageSize), t);
+    if (_ms._obs)
+        _ms._obs->pageTags(_node, alignDown(va, _ms._cp.pageSize), t);
 }
 
 } // namespace tt

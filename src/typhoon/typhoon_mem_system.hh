@@ -43,7 +43,6 @@
 namespace tt
 {
 
-class CheckHooks;
 class TyphoonMemSystem;
 
 /**
@@ -155,16 +154,13 @@ class TyphoonMemSystem : public MemorySystem
     /**
      * Canonicalize backdoors (DESIGN.md §15): host-level page
      * operations for the protocol-side canonicalize walks. Unlike the
-     * NpCtx equivalents they charge nothing, fire no checker/observer
-     * hooks (the checker canonicalizes separately), and skip
+     * NpCtx equivalents they charge nothing, notify no recorder (the
+     * checker canonicalizes separately), and skip
      * per-block cache invalidation (a wholesale flush follows).
      */
     void recUnmapPage(NodeId n, Addr va);
     void recSetPageTags(NodeId n, Addr va, AccessTag t);
     void recFreePhysPage(NodeId n, PAddr pa);
-
-    /** Attach the coherence sanitizer (nullptr = disabled). */
-    void setChecker(CheckHooks* c) { _checker = c; }
 
     /**
      * Resident bytes of the mechanism state (telemetry memory probe):
@@ -182,7 +178,10 @@ class TyphoonMemSystem : public MemorySystem
             r->nameHandler(kBulkDataHandler, "bulk_data");
     }
 
-    /** The attached recorder (protocols emit sharing records via it). */
+    /**
+     * The attached recorder: the protocols emit their sharing records
+     * and checker notifications through it.
+     */
     FlightRecorder* recorder() const { return _obs; }
 
   private:
@@ -296,7 +295,6 @@ class TyphoonMemSystem : public MemorySystem
     TyphoonParams _p;
     const CoreParams& _cp;
     ShmProtocol* _protocol = nullptr;
-    CheckHooks* _checker = nullptr; ///< coherence sanitizer, opt-in
     FlightRecorder* _obs = nullptr; ///< flight recorder, opt-in
     std::vector<Node> _nodes;
     std::vector<std::unique_ptr<Tempest>> _tempest;

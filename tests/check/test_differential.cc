@@ -71,9 +71,7 @@ runStache(const StacheParams& sp, ProtocolChecker::Mode mode)
     StacheRig rig(kNodes, {}, {}, sp);
     ProtocolChecker chk(*rig.machine, mode);
     chk.attachTyphoon(*rig.mem, *rig.stache);
-    rig.mem->setChecker(&chk);
-    rig.stache->setChecker(&chk);
-    rig.net->setChecker(&chk);
+    const auto rec = test::checkedRecorder(rig, chk);
 
     Addr a = rig.stache->shmalloc(4096, /*home=*/0);
     try {
@@ -92,8 +90,7 @@ runDir(const DirParams& dp, ProtocolChecker::Mode mode)
     DirRig rig(kNodes, {}, dp);
     ProtocolChecker chk(*rig.machine, mode);
     chk.attachDirnnb(*rig.mem);
-    rig.mem->setChecker(&chk);
-    rig.net->setChecker(&chk);
+    const auto rec = test::checkedRecorder(rig, chk);
 
     Addr a = rig.mem->shmalloc(4096, /*home=*/0);
     try {

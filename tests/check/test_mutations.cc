@@ -45,9 +45,7 @@ TEST(CheckMutations, StacheSkippedDowngradeTripsSwmr)
 
     ProtocolChecker chk(*rig.machine);
     chk.attachTyphoon(*rig.mem, *rig.stache);
-    rig.mem->setChecker(&chk);
-    rig.stache->setChecker(&chk);
-    rig.net->setChecker(&chk);
+    const auto rec = test::checkedRecorder(rig, chk);
 
     Addr a = rig.stache->shmalloc(4096, /*home=*/0);
     rig.run([&](Cpu& cpu) -> Task<void> {
@@ -75,9 +73,7 @@ TEST(CheckMutations, StacheHealthyDowngradeIsClean)
     StacheRig rig(2);
     ProtocolChecker chk(*rig.machine);
     chk.attachTyphoon(*rig.mem, *rig.stache);
-    rig.mem->setChecker(&chk);
-    rig.stache->setChecker(&chk);
-    rig.net->setChecker(&chk);
+    const auto rec = test::checkedRecorder(rig, chk);
 
     Addr a = rig.stache->shmalloc(4096, 0);
     rig.run([&](Cpu& cpu) -> Task<void> {
@@ -105,8 +101,7 @@ TEST(CheckMutations, DirnnbSkippedInvalidateTripsAgreement)
 
     ProtocolChecker chk(*rig.machine);
     chk.attachDirnnb(*rig.mem);
-    rig.mem->setChecker(&chk);
-    rig.net->setChecker(&chk);
+    const auto rec = test::checkedRecorder(rig, chk);
 
     Addr a = rig.mem->shmalloc(4096, /*home=*/0);
     rig.run([&](Cpu& cpu) -> Task<void> {
@@ -130,8 +125,7 @@ TEST(CheckMutations, DirnnbHealthyInvalidateIsClean)
     DirRig rig(2);
     ProtocolChecker chk(*rig.machine);
     chk.attachDirnnb(*rig.mem);
-    rig.mem->setChecker(&chk);
-    rig.net->setChecker(&chk);
+    const auto rec = test::checkedRecorder(rig, chk);
 
     Addr a = rig.mem->shmalloc(4096, 0);
     rig.run([&](Cpu& cpu) -> Task<void> {

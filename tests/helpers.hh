@@ -124,6 +124,22 @@ struct StacheRig
     }
 };
 
+/**
+ * A flight recorder feeding @p chk, attached to @p rig's network and
+ * memory system as buildTarget wires a checked run. Keep it alive for
+ * as long as the rig runs.
+ */
+template <typename Rig>
+std::unique_ptr<FlightRecorder>
+checkedRecorder(Rig& rig, CheckHooks& chk)
+{
+    auto rec = std::make_unique<FlightRecorder>(rig.cp.nodes);
+    rec->setChecker(&chk);
+    rig.net->setRecorder(rec.get());
+    rig.mem->setRecorder(rec.get());
+    return rec;
+}
+
 /** Activation count and summed NP charge of one handler. */
 struct NpCharge
 {

@@ -122,7 +122,7 @@ TEST(ObsRecorder, DumpTailIsDeterministicText)
     rec.nameHandler(3, "x.y");
     rec.msgSend(m, 100, 111);
     rec.msgDeliver(0, m, 111);
-    rec.tagChange(0, 0x1000, 2, 115);
+    rec.tagChange(0, 0x1000, AccessTag::ReadWrite, 115);
     std::ostringstream a, b;
     rec.dumpTail(a);
     rec.dumpTail(b);
@@ -174,7 +174,6 @@ TEST(ObsTrace, ByteIdenticalAcrossRunsAllSystems)
         for (int run = 0; run < 2; ++run) {
             TempFile tf(std::string("obs_det_") + system + ".json");
             MachineConfig cfg = smallConfig();
-            cfg.obs.enable = true;
             cfg.obs.traceFile = tf.path;
             TargetMachine t = buildTarget(system, cfg);
             runEm3d(t, system);
@@ -198,7 +197,6 @@ TEST(ObsTrace, TracingDoesNotChangeSimulatedResults)
 
         TempFile tf(std::string("obs_off_") + system + ".json");
         MachineConfig cfg = smallConfig();
-        cfg.obs.enable = true;
         cfg.obs.traceFile = tf.path;
         cfg.obs.samplePeriod = 1000;
         TargetMachine traced = buildTarget(system, cfg);
@@ -213,8 +211,10 @@ TEST(ObsTrace, EveryDeliverPairsWithASend)
 {
     // Huge rings so nothing is evicted, then check that the set of
     // delivered causal ids is a subset of the sent ids on every node.
+    // The trace file only makes buildTarget attach a recorder.
+    TempFile tf("obs_pairs.json");
     MachineConfig cfg = smallConfig();
-    cfg.obs.enable = true;
+    cfg.obs.traceFile = tf.path;
     cfg.obs.ringCapacity = 1u << 20;
     TargetMachine t = buildTyphoonStache(cfg);
     runEm3d(t, "stache");
@@ -264,6 +264,58 @@ TEST(ObsCrash, ViolationReportIncludesRecorderTail)
     EXPECT_NE(tail.find("node 1"), std::string::npos);
     EXPECT_NE(tail.find("stache.get_rw"), std::string::npos);
     EXPECT_NE(tail.find("tag"), std::string::npos);
+}
+
+/** Counts the access and message notifications the recorder forwards. */
+struct CountingHooks final : CheckHooks
+{
+    std::uint64_t accesses = 0, sends = 0, delivers = 0;
+
+    void onTagChange(NodeId, Addr, AccessTag) override {}
+    void onPageTags(NodeId, Addr, AccessTag) override {}
+    void onPageMap(NodeId, Addr, std::uint8_t) override {}
+    void onPageUnmap(NodeId, Addr) override {}
+    void
+    onAccess(NodeId, Addr, unsigned, bool, const void*) override
+    {
+        ++accesses;
+    }
+    void onBackdoorWrite(Addr, const void*, std::size_t) override {}
+    void onBlockEvent(NodeId, Addr, const char*) override {}
+    void onMsgSend(const Message&) override { ++sends; }
+    void onMsgDeliver(const Message&) override { ++delivers; }
+    void onEventEnd() override {}
+};
+
+TEST(ObsSeam, EveryAccessAndMessageReachesTheCheckerOnce)
+{
+    // The recorder is the checker's only feed, so every completed
+    // access, every protocol send and every handler dispatch must
+    // reach it exactly once; a producer site dropped from the seam
+    // breaks one of these identities.
+    for (const char* app : {"em3d", "mp3d"}) {
+        for (const std::string& system : targetSystems(app)) {
+            const std::string label = system + "/" + app;
+            MachineConfig cfg = smallConfig();
+            cfg.obs.analyze = true; // any consumer attaches a recorder
+            TargetMachine t = buildTarget(system, cfg);
+            CountingHooks count;
+            t.obs->setChecker(&count);
+            const auto a =
+                makeTargetApp(system, app, DataSet::Tiny, 1, 0.2, t);
+            t.run(*a);
+
+            const StatSet& s = t.m().stats();
+            EXPECT_GT(count.accesses, 0u) << label;
+            EXPECT_EQ(count.accesses,
+                      s.get("cpu.loads") + s.get("cpu.stores"))
+                << label;
+            EXPECT_EQ(count.sends, s.get("net.messages")) << label;
+            EXPECT_EQ(count.delivers,
+                      s.get(t.dir ? "net.messages" : "np.msg_handled"))
+                << label;
+        }
+    }
 }
 
 TEST(ObsConfig, RecorderAbsentWhenDisabled)

@@ -263,7 +263,6 @@ TEST(ObsTxn, TxnOffTraceFileHasNoTransactionArtifacts)
     TempFile tf("obs_txn_off.trace.json");
     MachineConfig cfg;
     cfg.core.nodes = 8;
-    cfg.obs.enable = true;
     cfg.obs.traceFile = tf.path;
     TargetMachine t = buildTarget("stache", cfg);
     runEm3d(t, "stache");
@@ -281,7 +280,6 @@ TEST(ObsTxn, TxnOnTraceFileIsByteDeterministicWithFlows)
     for (int run = 0; run < 2; ++run) {
         TempFile tf("obs_txn_on.trace.json");
         MachineConfig cfg = txnConfig();
-        cfg.obs.enable = true;
         cfg.obs.traceFile = tf.path;
         TargetMachine t = buildTarget("stache", cfg);
         runEm3d(t, "stache");

@@ -60,10 +60,10 @@ record(TargetMachine& t, const BenchApp& app, const RunResult& r)
 /** Run @p system to completion, checkpointing at @p epoch. */
 RunRec
 runCheckpointing(const std::string& system, const std::string& file,
-                 bool check, std::uint64_t epoch = 2)
+                 bool check, std::uint64_t epoch = 2, int nodes = 8)
 {
     MachineConfig cfg;
-    cfg.core.nodes = 8;
+    cfg.core.nodes = nodes;
     cfg.check.enable = check;
     cfg.recovery.checkpointEpoch = epoch;
     cfg.recovery.checkpointFile = file;
@@ -79,10 +79,10 @@ runCheckpointing(const std::string& system, const std::string& file,
 /** Run @p system restored from checkpoint @p file. */
 RunRec
 runRestored(const std::string& system, const std::string& file,
-            bool check)
+            bool check, int nodes = 8)
 {
     MachineConfig cfg;
-    cfg.core.nodes = 8;
+    cfg.core.nodes = nodes;
     cfg.check.enable = check;
     TargetMachine t = buildTarget(system, cfg);
     auto app = mkApp(system, t);
@@ -105,6 +105,27 @@ TEST(Checkpoint, RoundTripIsByteIdenticalOnAllSystems)
         EXPECT_EQ(a.checksum, b.checksum) << system;
         EXPECT_EQ(a.statsJson, b.statsJson) << system;
         std::remove(file.c_str());
+    }
+}
+
+TEST(Checkpoint, MultiPageAllocationsRoundTripOnAllSystems)
+{
+    // On two nodes each EM3D array spans several pages (and Stache
+    // blocks of one array have different owners), so the snapshot
+    // reads and the restore writes whole multi-page ranges.
+    for (const char* system : kSystems) {
+        for (const bool check : {false, true}) {
+            const std::string label =
+                std::string(system) + (check ? " checked" : "");
+            const std::string file = ::testing::TempDir() +
+                                     "ckpt_2n_" + system + ".bin";
+            const RunRec a = runCheckpointing(system, file, check, 2, 2);
+            const RunRec b = runRestored(system, file, check, 2);
+            EXPECT_EQ(a.cycles, b.cycles) << label;
+            EXPECT_EQ(a.checksum, b.checksum) << label;
+            EXPECT_EQ(a.statsJson, b.statsJson) << label;
+            std::remove(file.c_str());
+        }
     }
 }
 

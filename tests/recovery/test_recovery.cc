@@ -40,10 +40,10 @@ struct Baseline
 
 /** Crash-free reference run (checker on, no faults). */
 Baseline
-baselineOf(const std::string& system)
+baselineOf(const std::string& system, int nodes = 8)
 {
     MachineConfig cfg;
-    cfg.core.nodes = 8;
+    cfg.core.nodes = nodes;
     cfg.check.enable = true;
     TargetMachine t = buildTarget(system, cfg);
     auto app = mkApp(system, t);
@@ -52,10 +52,10 @@ baselineOf(const std::string& system)
 }
 
 MachineConfig
-crashConfig(Tick tick, NodeId victim)
+crashConfig(Tick tick, NodeId victim, int nodes = 8)
 {
     MachineConfig cfg;
-    cfg.core.nodes = 8;
+    cfg.core.nodes = nodes;
     cfg.check.enable = true;
     cfg.faults.crashes.emplace_back(tick, victim);
     cfg.faults.seed = 1;
@@ -85,6 +85,23 @@ TEST(Recovery, CrashMidRunRecoversOnAllSystems)
         EXPECT_TRUE(t.checker->violations().empty()) << system;
         // Rollback had at least the post-setup snapshot to land on.
         EXPECT_GE(t.m().stats().get("rec.snapshots"), 1u) << system;
+    }
+}
+
+TEST(Recovery, CrashWithMultiPageAllocationsRecoversOnAllSystems)
+{
+    // On four nodes each EM3D array spans several pages, so every
+    // rollback snapshot reads, and every restore writes, multi-page
+    // ranges whose blocks have different owners.
+    for (const char* system : kSystems) {
+        const Baseline base = baselineOf(system, 4);
+        TargetMachine t = buildTarget(system, crashConfig(3000, 1, 4));
+        auto app = mkApp(system, t);
+        t.run(*app);
+        EXPECT_EQ(t.recovery->crashesInjected(), 1u) << system;
+        EXPECT_EQ(t.recovery->recoveriesDone(), 1u) << system;
+        EXPECT_EQ(app->checksum(), base.checksum) << system;
+        EXPECT_TRUE(t.checker->violations().empty()) << system;
     }
 }
 

@@ -20,6 +20,8 @@ set(cases
     "4 --system=stache --app=mp3d --fault=skip-downgrade --check"
     # A second crash before the first one is recovered.
     "5 --faults=crash@1:1,crash@2:2,seed=1"
+    # The only node crashes: no surviving node remains to recover it.
+    "5 --nodes=1 --faults=crash@100:0,seed=1"
     # A data set too small for the machine is a user error, in a
     # campaign as in a single run.
     "2 --dataset=small --scale=4000 --nodes=9 --campaign=1 --systems=stache --faults=drop=0.01,seed=1")

@@ -490,7 +490,6 @@ run(int argc, char** argv)
     cfg.check.mode = o.checkMode == "paranoid"
                          ? ProtocolChecker::Mode::Paranoid
                          : ProtocolChecker::Mode::Fast;
-    cfg.obs.enable = !o.traceFile.empty();
     cfg.obs.traceFile = o.traceFile;
     cfg.obs.samplePeriod = o.traceSample;
     cfg.obs.analyze = o.analyze;
